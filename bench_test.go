@@ -95,6 +95,17 @@ func BenchmarkTable1Machine(b *testing.B) {
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "simInsts/s")
 }
 
+// runExperiment runs the named experiment's whole grid in one process
+// and returns its results for a typed assembler.
+func runExperiment(b *testing.B, o experiments.Options, name string) map[string]*sim.Result {
+	b.Helper()
+	sf, err := experiments.RunShard(o, name, 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sf.SimResults()
+}
+
 // BenchmarkFigure2 regenerates Figure 2 (512-entry segmented IQ
 // configurations relative to the ideal queue) at benchmark scale and
 // reports the cross-benchmark average relative performance of the
@@ -104,7 +115,7 @@ func BenchmarkFigure2(b *testing.B) {
 	o.Benchmarks = []string{"swim", "equake", "mgrid"}
 	var avg float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2(o)
+		r, err := experiments.Fig2From(o, runExperiment(b, o, "fig2"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,7 +136,7 @@ func BenchmarkTable2(b *testing.B) {
 	o.Benchmarks = []string{"swim", "equake"}
 	var avg float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table2(o)
+		r, err := experiments.Table2From(o, runExperiment(b, o, "table2"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +157,7 @@ func BenchmarkFigure3(b *testing.B) {
 	o.Benchmarks = []string{"equake"}
 	var ipc float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig3(o)
+		r, err := experiments.Fig3From(o, runExperiment(b, o, "fig3"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +174,7 @@ func BenchmarkInTextMeasurements(b *testing.B) {
 	o.Benchmarks = []string{"mgrid"}
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.InText(o)
+		r, err := experiments.InTextFrom(o, runExperiment(b, o, "intext"))
 		if err != nil {
 			b.Fatal(err)
 		}

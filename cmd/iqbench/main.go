@@ -1,12 +1,20 @@
 // Command iqbench regenerates the paper's evaluation: Figure 2, Table 2,
-// Figure 3, the in-text measurements (§4.3, §4.4, §4.5, §6.1) and the
-// design-choice ablations. Output is the textual equivalent of each table
-// or figure; EXPERIMENTS.md records a captured run against the paper's
-// numbers.
+// Figure 3, the in-text measurements (§4.3, §4.4, §4.5, §6.1), the §2
+// related-work comparison, the §7 power proxy, the design-choice
+// ablations and the SMT matrix. Output is the textual equivalent of each
+// table or figure; EXPERIMENTS.md records a captured run against the
+// paper's numbers.
+//
+// Every experiment is one entry of the experiments package's registry,
+// and every mode reads that table: a direct run is RunShard(0,1)
+// followed by the same render -merge prints, so -shard, -merge, -coord
+// and -worker work alike for all of them. Without -out, -shard and
+// -merge write the JSON to stdout and their summaries and tables to
+// stderr.
 //
 // Examples:
 //
-//	iqbench                         # everything, default sample sizes
+//	iqbench                         # every experiment but smt, default sample sizes
 //	iqbench -experiment fig2
 //	iqbench -experiment fig3 -n 100000 -warm 500000
 //	iqbench -experiment table2 -benchmarks swim,equake
@@ -51,8 +59,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -64,7 +74,7 @@ import (
 
 func main() {
 	var (
-		exp            = flag.String("experiment", "all", "fig2, table2, fig3, intext, related, power, ablations, smt, or all")
+		exp            = flag.String("experiment", "all", strings.Join(experiments.Experiments, ", ")+", or all")
 		smtSweep       = flag.Bool("smt-sweep", false, "run the SMT scenario matrix (shorthand for -experiment smt): co-scheduled context sets × queue designs × 2/4 hardware contexts; -benchmarks takes comma-separated \"+\"-joined sets, e.g. swim+twolf,mgrid+gcc")
 		n              = flag.Int64("n", 0, "measured instructions per run (0 = default)")
 		warm           = flag.Int64("warm", 0, "warm-up instructions per run (0 = default)")
@@ -253,7 +263,7 @@ func main() {
 		}
 		fmt.Printf("[%s]\n", r.Summary())
 		fmt.Printf("[prescreen completed in %.1fs]\n", time.Since(start).Seconds())
-		printCkptStats(o)
+		printCkptStats(os.Stdout, o)
 		if *prescreenCheck > 0 && r.Spearman < *prescreenCheck {
 			fmt.Fprintf(os.Stderr, "iqbench: prescreen audit rank correlation %.3f below required %.3f\n",
 				r.Spearman, *prescreenCheck)
@@ -262,9 +272,9 @@ func main() {
 		return
 	}
 	if *shard != "" {
-		var si, sn int
-		if _, err := fmt.Sscanf(*shard, "%d/%d", &si, &sn); err != nil {
-			fmt.Fprintf(os.Stderr, "iqbench: -shard wants i/n (e.g. 0/4), got %q\n", *shard)
+		si, sn, err := parseShard(*shard)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "iqbench: %v\n", err)
 			os.Exit(2)
 		}
 		start := time.Now()
@@ -279,128 +289,41 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "[shard %d/%d of %s: %d/%d grid points in %.1fs]\n",
 			si, sn, *exp, len(sf.Results), sf.TotalJobs, time.Since(start).Seconds())
-		printCkptStats(o)
+		printCkptStats(summaryTo(*out), o)
 		return
 	}
 
-	run := func(name string, f func() error) {
+	names, err := experiments.Select(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "iqbench: %v\n", err)
+		os.Exit(2)
+	}
+	for _, name := range names {
 		start := time.Now()
-		if err := f(); err != nil {
+		sf, err := experiments.RunShard(o, name, 0, 1)
+		if err == nil {
+			err = render(os.Stdout, sf)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "iqbench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
 		fmt.Printf("[%s completed in %.1fs]\n\n", name, time.Since(start).Seconds())
 	}
+	printCkptStats(os.Stdout, o)
+}
 
-	all := *exp == "all"
-	any := false
-	if all || *exp == "fig2" {
-		any = true
-		run("fig2", func() error {
-			r, err := experiments.Fig2(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println("Figure 2: 512-entry segmented IQ relative to ideal 512-entry IQ")
-			fmt.Print(r.Table().String())
-			return nil
-		})
+// parseShard parses a -shard argument "i/n": shard i of n, with
+// 0 <= i < n. The whole token must parse; trailing characters are an
+// error rather than silently ignored.
+func parseShard(s string) (i, n int, err error) {
+	a, b, ok := strings.Cut(s, "/")
+	i, errI := strconv.Atoi(a)
+	n, errN := strconv.Atoi(b)
+	if !ok || errI != nil || errN != nil || i < 0 || n < 1 || i >= n {
+		return 0, 0, fmt.Errorf("-shard wants i/n with 0 <= i < n (e.g. 0/4), got %q", s)
 	}
-	if all || *exp == "table2" {
-		any = true
-		run("table2", func() error {
-			r, err := experiments.Table2(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println("Table 2: chain usage, 512-entry segmented IQ, unlimited chains")
-			fmt.Print(r.Table().String())
-			return nil
-		})
-	}
-	if all || *exp == "fig3" {
-		any = true
-		run("fig3", func() error {
-			r, err := experiments.Fig3(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println("Figure 3: IPC across IQ sizes (prescheduled cells show their own capacity)")
-			tabs := r.Tables()
-			for _, wl := range r.Benchmarks {
-				fmt.Print(tabs[wl].String())
-				fmt.Println()
-			}
-			return nil
-		})
-	}
-	if all || *exp == "intext" {
-		any = true
-		run("intext", func() error {
-			r, err := experiments.InText(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println("In-text measurements (§4.3, §4.4, §4.5, §6.1)")
-			fmt.Print(experiments.InTextTable(r).String())
-			return nil
-		})
-	}
-	if all || *exp == "related" {
-		any = true
-		run("related", func() error {
-			r, err := experiments.RelatedWork(o, 256)
-			if err != nil {
-				return err
-			}
-			fmt.Println("Related work (§2): dependence-based designs at 256 slots")
-			fmt.Print(r.Table().String())
-			return nil
-		})
-	}
-	if all || *exp == "power" {
-		any = true
-		run("power", func() error {
-			r, err := experiments.Power(o, 512, experiments.DefaultEnergyWeights())
-			if err != nil {
-				return err
-			}
-			fmt.Println("Power proxy (§7): 512-entry queues, event-energy units per instruction")
-			fmt.Print(r.Table().String())
-			return nil
-		})
-	}
-	if all || *exp == "ablations" {
-		any = true
-		run("ablations", func() error {
-			r, err := experiments.Ablations(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println("Design ablations: IPC at 512 entries, 128 chains, HMP+LRP")
-			fmt.Print(r.Table().String())
-			return nil
-		})
-	}
-	// The SMT matrix goes beyond the paper's evaluation, so it runs only
-	// when asked for (-smt-sweep / -experiment smt), not under "all".
-	if *exp == "smt" {
-		any = true
-		run("smt", func() error {
-			r, err := experiments.SMT(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println("SMT matrix (§7): aggregate IPC (per-context committed) per queue design and context count")
-			fmt.Print(r.Table().String())
-			return nil
-		})
-	}
-	if !any {
-		fmt.Fprintf(os.Stderr, "iqbench: unknown experiment %q\n", *exp)
-		os.Exit(2)
-	}
-	printCkptStats(o)
+	return i, n, nil
 }
 
 // serveCoordinator runs the -coord mode: enumerate the experiment's
@@ -464,13 +387,33 @@ func outOrStdout(path string) string {
 // printCkptStats reports checkpoint-cache effectiveness when -ckpt-dir
 // is in use, and prefix-sharing effectiveness unless -no-prefix-share
 // disabled it.
-func printCkptStats(o experiments.Options) {
+func printCkptStats(w io.Writer, o experiments.Options) {
 	if o.CkptStats != nil {
-		fmt.Printf("[ckpt-cache: %s]\n", o.CkptStats)
+		fmt.Fprintf(w, "[ckpt-cache: %s]\n", o.CkptStats)
 	}
 	if o.PrefixStats != nil {
-		fmt.Printf("[prefix: %s]\n", o.PrefixStats)
+		fmt.Fprintf(w, "[prefix: %s]\n", o.PrefixStats)
 	}
+}
+
+// summaryTo returns where -shard and -merge print their summaries and
+// tables: stdout, unless the JSON itself goes there (no -out), in which
+// case stderr, so stdout stays one parseable JSON document.
+func summaryTo(out string) io.Writer {
+	if out == "" {
+		return os.Stderr
+	}
+	return os.Stdout
+}
+
+// render prints a complete result set as its experiment's tables.
+func render(w io.Writer, sf *experiments.ShardFile) error {
+	text, err := experiments.Render(sf)
+	if err != nil {
+		return err
+	}
+	_, err = io.WriteString(w, text)
+	return err
 }
 
 // writeShardJSON writes a shard (or merged) file as indented JSON to
@@ -513,62 +456,5 @@ func mergeShardFiles(paths []string, out string) error {
 	}
 	fmt.Fprintf(os.Stderr, "[merged %d shards: %d grid points of %s]\n",
 		len(files), len(merged.Results), merged.Experiment)
-	return renderMerged(merged)
-}
-
-// renderMerged prints the experiment tables assembled from a merged
-// shard file, matching the output of the corresponding direct run.
-func renderMerged(sf *experiments.ShardFile) error {
-	o, res := sf.Options(), sf.SimResults()
-	switch sf.Experiment {
-	case "fig2":
-		r, err := experiments.Fig2From(o, res)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Figure 2: 512-entry segmented IQ relative to ideal 512-entry IQ")
-		fmt.Print(r.Table().String())
-	case "table2":
-		r, err := experiments.Table2From(o, res)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Table 2: chain usage, 512-entry segmented IQ, unlimited chains")
-		fmt.Print(r.Table().String())
-	case "fig3":
-		r, err := experiments.Fig3From(o, res)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Figure 3: IPC across IQ sizes (prescheduled cells show their own capacity)")
-		tabs := r.Tables()
-		for _, wl := range r.Benchmarks {
-			fmt.Print(tabs[wl].String())
-			fmt.Println()
-		}
-	case "intext":
-		r, err := experiments.InTextFrom(o, res)
-		if err != nil {
-			return err
-		}
-		fmt.Println("In-text measurements (§4.3, §4.4, §4.5, §6.1)")
-		fmt.Print(experiments.InTextTable(r).String())
-	case "ablations":
-		r, err := experiments.AblationsFrom(o, res)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Design ablations: IPC at 512 entries, 128 chains, HMP+LRP")
-		fmt.Print(r.Table().String())
-	case "smt":
-		r, err := experiments.SMTFrom(o, res)
-		if err != nil {
-			return err
-		}
-		fmt.Println("SMT matrix (§7): aggregate IPC (per-context committed) per queue design and context count")
-		fmt.Print(r.Table().String())
-	default:
-		return fmt.Errorf("no renderer for experiment %q", sf.Experiment)
-	}
-	return nil
+	return render(summaryTo(out), merged)
 }

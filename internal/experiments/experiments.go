@@ -4,7 +4,9 @@
 // Figure 3 (performance across IQ sizes, including the prescheduling
 // baseline), and the in-text measurements (HMP accuracy and coverage,
 // two-chain instruction frequency, deadlock incidence, segment-0
-// occupancy). See EXPERIMENTS.md for paper-versus-measured results.
+// occupancy), plus the §2 related-work comparison, the §7 power proxy,
+// design ablations and an SMT matrix. registry.go lists every experiment
+// once; see EXPERIMENTS.md for paper-versus-measured results.
 package experiments
 
 import (
@@ -459,7 +461,9 @@ type Fig2Result struct {
 	IdealIPC map[string]float64
 }
 
-// fig2Jobs enumerates Figure 2's grid.
+// fig2Jobs enumerates Figure 2's grid: a 512-entry segmented IQ
+// (sixteen 32-entry segments) in twelve configurations, plus the ideal
+// single-cycle 512-entry IQ they are measured against.
 func fig2Jobs(o Options) []job {
 	var jobs []job
 	for _, wl := range o.benchmarks() {
@@ -472,17 +476,6 @@ func fig2Jobs(o Options) []job {
 		}
 	}
 	return jobs
-}
-
-// Fig2 reproduces Figure 2: a 512-entry segmented IQ (sixteen 32-entry
-// segments) in twelve configurations, relative to an ideal single-cycle
-// 512-entry IQ.
-func Fig2(o Options) (*Fig2Result, error) {
-	res, err := o.runAll(fig2Jobs(o))
-	if err != nil {
-		return nil, err
-	}
-	return Fig2From(o, res)
 }
 
 // Fig2From assembles Figure 2 from already-computed results (a local
@@ -550,16 +543,6 @@ func table2Jobs(o Options) []job {
 		}
 	}
 	return jobs
-}
-
-// Table2 reproduces Table 2: chain usage under the four predictor
-// configurations with unlimited chain wires.
-func Table2(o Options) (*Table2Result, error) {
-	res, err := o.runAll(table2Jobs(o))
-	if err != nil {
-		return nil, err
-	}
-	return Table2From(o, res)
 }
 
 // Table2From assembles Table 2 from already-computed results.
@@ -651,15 +634,6 @@ func fig3Jobs(o Options) []job {
 		}
 	}
 	return jobs
-}
-
-// Fig3 reproduces Figure 3 across all benchmarks and queue sizes.
-func Fig3(o Options) (*Fig3Result, error) {
-	res, err := o.runAll(fig3Jobs(o))
-	if err != nil {
-		return nil, err
-	}
-	return Fig3From(o, res)
 }
 
 // Fig3From assembles Figure 3 from already-computed results.

@@ -17,6 +17,17 @@ func tinyOptions(benches ...string) Options {
 	return o
 }
 
+// runGrid runs the named experiment's whole grid in one process, as a
+// direct `iqbench -experiment` run does.
+func runGrid(t *testing.T, o Options, name string) *ShardFile {
+	t.Helper()
+	sf, err := RunShard(o, name, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sf
+}
+
 func TestDefaultOptions(t *testing.T) {
 	o := DefaultOptions()
 	if o.Instructions <= 0 || o.Warmup <= 0 || o.Seed == 0 {
@@ -35,7 +46,8 @@ func TestDefaultOptions(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	r, err := Fig2(tinyOptions("vortex"))
+	o := tinyOptions("vortex")
+	r, err := Fig2From(o, runGrid(t, o, "fig2").SimResults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +69,8 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	r, err := Table2(tinyOptions("equake", "vortex"))
+	o := tinyOptions("equake", "vortex")
+	r, err := Table2From(o, runGrid(t, o, "table2").SimResults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +98,7 @@ func TestTable2Shape(t *testing.T) {
 
 func TestFig3Shape(t *testing.T) {
 	o := tinyOptions("gcc")
-	r, err := Fig3(o)
+	r, err := Fig3From(o, runGrid(t, o, "fig3").SimResults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +124,8 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestInTextShape(t *testing.T) {
-	r, err := InText(tinyOptions("mgrid"))
+	o := tinyOptions("mgrid")
+	r, err := InTextFrom(o, runGrid(t, o, "intext").SimResults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +148,8 @@ func TestInTextShape(t *testing.T) {
 }
 
 func TestAblationsShape(t *testing.T) {
-	r, err := Ablations(tinyOptions("vortex"))
+	o := tinyOptions("vortex")
+	r, err := AblationsFrom(o, runGrid(t, o, "ablations").SimResults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +176,8 @@ func TestRunAllPropagatesErrors(t *testing.T) {
 }
 
 func TestRelatedWorkShape(t *testing.T) {
-	r, err := RelatedWork(tinyOptions("vortex"), 128)
+	o := tinyOptions("vortex")
+	r, err := RelatedFrom(o, runGrid(t, o, "related").SimResults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,13 +186,14 @@ func TestRelatedWorkShape(t *testing.T) {
 			t.Errorf("%s missing", d)
 		}
 	}
-	if !strings.Contains(r.Table().String(), "design@128") {
+	if !strings.Contains(r.Table().String(), "design@256") {
 		t.Error("table rendering")
 	}
 }
 
 func TestPowerShape(t *testing.T) {
-	r, err := Power(tinyOptions("vortex"), 128, DefaultEnergyWeights())
+	o := tinyOptions("vortex")
+	r, err := PowerFrom(o, runGrid(t, o, "power").SimResults())
 	if err != nil {
 		t.Fatal(err)
 	}

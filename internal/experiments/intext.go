@@ -45,16 +45,6 @@ func inTextJobs(o Options) []job {
 	return jobs
 }
 
-// InText reproduces the in-text measurements of §4.3, §4.4, §4.5 and §6.1
-// for every benchmark.
-func InText(o Options) (map[string]*InTextResult, error) {
-	res, err := o.runAll(inTextJobs(o))
-	if err != nil {
-		return nil, err
-	}
-	return InTextFrom(o, res)
-}
-
 // InTextFrom assembles the in-text measurements from already-computed
 // results.
 func InTextFrom(o Options, res map[string]*sim.Result) (map[string]*InTextResult, error) {
@@ -147,16 +137,6 @@ func ablationJobs(o Options) []job {
 		}
 	}
 	return jobs
-}
-
-// Ablations measures the contribution of each design enhancement at the
-// 512-entry, 128-chain combined configuration.
-func Ablations(o Options) (*AblationResult, error) {
-	res, err := o.runAll(ablationJobs(o))
-	if err != nil {
-		return nil, err
-	}
-	return AblationsFrom(o, res)
 }
 
 // AblationsFrom assembles the ablation comparison from already-computed

@@ -31,31 +31,15 @@ type JobSpec struct {
 // once full, its serialized form is byte-identical to the
 // single-process run's.
 func GridPlan(o Options, experiment string) (*ShardFile, []JobSpec, error) {
-	if err := o.validateBenchmarks(); err != nil {
-		return nil, nil, err
-	}
-	jobs, err := experimentJobs(experiment, o)
+	grid, err := experimentJobs(experiment, o)
 	if err != nil {
 		return nil, nil, err
 	}
-	specs := make([]JobSpec, len(jobs))
-	for i, j := range jobs {
+	specs := make([]JobSpec, len(grid))
+	for i, j := range grid {
 		specs[i] = JobSpec{Key: j.key, Workload: j.wl}
 	}
-	sf := &ShardFile{
-		Schema:       ShardSchema,
-		Experiment:   experiment,
-		Shard:        0,
-		NumShards:    1,
-		TotalJobs:    len(jobs),
-		Instructions: o.Instructions,
-		Warmup:       o.Warmup,
-		Seed:         o.Seed,
-		Contexts:     gridContexts(jobs),
-		Benchmarks:   o.Benchmarks,
-		Results:      make(map[string]*RecordedResult, len(jobs)),
-	}
-	return sf, specs, nil
+	return newShardFile(o, experiment, grid, 0, 1), specs, nil
 }
 
 // RunJobs simulates exactly the named grid points of the experiment
@@ -65,16 +49,12 @@ func GridPlan(o Options, experiment string) (*ShardFile, []JobSpec, error) {
 // into the full single-process file. Unknown keys are rejected before
 // any simulation is spent.
 func RunJobs(o Options, experiment string, keys []string) (*ShardFile, error) {
-	sf, _, err := GridPlan(o, experiment)
+	grid, err := experimentJobs(experiment, o)
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := experimentJobs(experiment, o)
-	if err != nil {
-		return nil, err
-	}
-	byKey := make(map[string]job, len(jobs))
-	for _, j := range jobs {
+	byKey := make(map[string]job, len(grid))
+	for _, j := range grid {
 		byKey[j.key] = j
 	}
 	mine := make([]job, 0, len(keys))
@@ -90,24 +70,7 @@ func RunJobs(o Options, experiment string, keys []string) (*ShardFile, error) {
 		seen[k] = true
 		mine = append(mine, j)
 	}
-	res, err := o.runAll(mine)
-	if err != nil {
-		return nil, err
-	}
-	if o.CkptStats != nil {
-		sf.CkptStats = o.CkptStats.Values()
-	}
-	for key, r := range res {
-		sf.Results[key] = &RecordedResult{
-			Workload:     r.Workload,
-			QueueName:    r.QueueName,
-			Instructions: r.Instructions,
-			Cycles:       r.Cycles,
-			IPC:          r.IPC,
-			Stats:        r.Stats.Values(),
-		}
-	}
-	return sf, nil
+	return o.simulate(experiment, grid, mine, 0, 1)
 }
 
 // Header returns the canonical header string every shard or fragment

@@ -29,52 +29,50 @@ import (
 // and chain wires. The proxy is deliberately simple — the point is the
 // *structure* of the comparison, not watts.
 
-// EnergyWeights are the per-event costs of the proxy model.
-type EnergyWeights struct {
-	WakeupPerEntryCycle float64
-	EntryWrite          float64
-	WirePerSegment      float64
-	IssueRead           float64
-}
+// The proxy's per-event costs, as tabulated above.
+const (
+	wakeupPerEntryCycle = 1
+	entryWrite          = 4
+	wirePerSegment      = 0.25
+	issueRead           = 2
+)
 
-// DefaultEnergyWeights returns the documented defaults.
-func DefaultEnergyWeights() EnergyWeights {
-	return EnergyWeights{WakeupPerEntryCycle: 1, EntryWrite: 4, WirePerSegment: 0.25, IssueRead: 2}
-}
+// powerSize is the capacity of both compared queues.
+const powerSize = 512
 
 // PowerResult compares the energy proxy of the ideal and segmented
 // queues at equal capacity.
 type PowerResult struct {
 	Benchmarks []string
-	Weights    EnergyWeights
 	// EnergyPerInst[design][bench]: proxy units per committed instruction.
 	EnergyPerInst map[string]map[string]float64
 	// IPC[design][bench] for the performance side of the trade.
 	IPC map[string]map[string]float64
 }
 
-// Power runs the §7 energy-proxy comparison at the given queue size.
-func Power(o Options, size int, w EnergyWeights) (*PowerResult, error) {
-	benches := o.benchmarks()
-	cfgs := map[string]sim.Config{
-		"ideal":     sim.DefaultConfig(sim.QueueIdeal, size),
-		"segmented": sim.SegmentedConfig(size, 128, true, true),
-	}
+// powerJobs enumerates the §7 energy-proxy comparison's grid.
+func powerJobs(o Options) []job {
 	var jobs []job
-	for _, wl := range benches {
-		for name, cfg := range cfgs {
-			jobs = append(jobs, job{key: name + "/" + wl, cfg: cfg, wl: wl})
-		}
+	for _, wl := range o.benchmarks() {
+		jobs = append(jobs,
+			job{key: "ideal/" + wl, cfg: sim.DefaultConfig(sim.QueueIdeal, powerSize), wl: wl},
+			job{key: "segmented/" + wl, cfg: sim.SegmentedConfig(powerSize, 128, true, true), wl: wl},
+		)
 	}
-	res, err := o.runAll(jobs)
-	if err != nil {
+	return jobs
+}
+
+// PowerFrom assembles the §7 energy-proxy comparison from
+// already-computed results.
+func PowerFrom(o Options, res map[string]*sim.Result) (*PowerResult, error) {
+	benches := o.benchmarks()
+	if err := requireResults(res, powerJobs(o)); err != nil {
 		return nil, err
 	}
-	segs := size / 32
+	const segs = powerSize / 32
 
 	out := &PowerResult{
 		Benchmarks:    benches,
-		Weights:       w,
 		EnergyPerInst: map[string]map[string]float64{"ideal": {}, "segmented": {}},
 		IPC:           map[string]map[string]float64{"ideal": {}, "segmented": {}},
 	}
@@ -90,7 +88,7 @@ func Power(o Options, size int, w EnergyWeights) (*PowerResult, error) {
 		iOcc := ideal.Stats.MustGet("iq_occupancy_avg")
 		iDisp := ideal.Stats.MustGet("iq_dispatched")
 		iIss := ideal.Stats.MustGet("iq_issued")
-		iEnergy := w.WakeupPerEntryCycle*iOcc*iCycles + w.EntryWrite*iDisp + w.IssueRead*iIss
+		iEnergy := wakeupPerEntryCycle*iOcc*iCycles + entryWrite*iDisp + issueRead*iIss
 		out.EnergyPerInst["ideal"][wl] = iEnergy / float64(ideal.Instructions)
 
 		// Segmented: segment-0 CAM search only, writes at dispatch and per
@@ -102,10 +100,10 @@ func Power(o Options, size int, w EnergyWeights) (*PowerResult, error) {
 		sIss := seg.Stats.MustGet("iq_issued")
 		sMoves := seg.Stats.MustGet("iq_promotions") + seg.Stats.MustGet("iq_pushdowns")
 		sWires := seg.Stats.MustGet("chain_wire_assertions")
-		sEnergy := w.WakeupPerEntryCycle*sSeg0*sCycles +
-			w.EntryWrite*(sDisp+sMoves) +
-			w.WirePerSegment*sWires*float64(segs)/2 +
-			w.IssueRead*sIss
+		sEnergy := wakeupPerEntryCycle*sSeg0*sCycles +
+			entryWrite*(sDisp+sMoves) +
+			wirePerSegment*sWires*float64(segs)/2 +
+			issueRead*sIss
 		out.EnergyPerInst["segmented"][wl] = sEnergy / float64(seg.Instructions)
 	}
 	return out, nil

@@ -333,7 +333,7 @@ func Prescreen(o Options, po PrescreenOptions) (*PrescreenResult, *ShardFile, er
 		sels = append(sels, sel)
 	}
 
-	res, err := o.runAll(jobs)
+	sf, err := o.simulate("prescreen-"+po.Grid, jobs, jobs, 0, 1)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -350,7 +350,7 @@ func Prescreen(o Options, po PrescreenOptions) (*PrescreenResult, *ShardFile, er
 		var auditEst, auditSim []float64
 		bestPerEntry := -1.0
 		for _, i := range sel.selected {
-			r := res[pts[i].key+"/"+sel.wl]
+			r := sf.Results[pts[i].key+"/"+sel.wl]
 			if r == nil {
 				return nil, nil, fmt.Errorf("experiments: missing prescreen result for %s/%s", pts[i].key, sel.wl)
 			}
@@ -389,29 +389,6 @@ func Prescreen(o Options, po PrescreenOptions) (*PrescreenResult, *ShardFile, er
 	out.Spearman = model.Spearman(pooledEst, pooledSim)
 	out.MAPE = model.MAPE(pooledEst, pooledSim)
 
-	sf := &ShardFile{
-		Schema:       ShardSchema,
-		Experiment:   "prescreen-" + po.Grid,
-		Shard:        0,
-		NumShards:    1,
-		TotalJobs:    len(jobs),
-		Instructions: o.Instructions,
-		Warmup:       o.Warmup,
-		Seed:         o.Seed,
-		Contexts:     1,
-		Benchmarks:   o.Benchmarks,
-		Results:      make(map[string]*RecordedResult, len(jobs)),
-	}
-	for key, r := range res {
-		sf.Results[key] = &RecordedResult{
-			Workload:     r.Workload,
-			QueueName:    r.QueueName,
-			Instructions: r.Instructions,
-			Cycles:       r.Cycles,
-			IPC:          r.IPC,
-			Stats:        r.Stats.Values(),
-		}
-	}
 	return out, sf, nil
 }
 

@@ -10,42 +10,47 @@ import (
 // RelatedResult compares the three dependence-based designs discussed in
 // the paper's §2 at equal capacity: Palacharla et al.'s FIFOs, Michaud &
 // Seznec's prescheduling array, and the segmented chain queue, with the
-// ideal queue as the upper bound.
+// ideal queue as the upper bound. Michaud & Seznec report prescheduling
+// outperforming the FIFOs; the paper reports the segmented queue
+// outperforming prescheduling; the three-way comparison closes the loop.
 type RelatedResult struct {
 	Benchmarks []string
-	Size       int
 	// IPC[design][bench].
 	IPC map[string]map[string]float64
 }
 
+// relatedSize is the total queue capacity every design gets.
+const relatedSize = 256
+
 // RelatedDesigns lists the compared designs in report order.
 var RelatedDesigns = []string{"ideal", "fifos", "distance", "prescheduled", "segmented"}
 
-// RelatedWork runs the §2 comparison at the given total queue capacity.
-// Michaud & Seznec report prescheduling outperforming the FIFOs; the
-// paper reports the segmented queue outperforming prescheduling; the
-// three-way comparison closes the loop.
-func RelatedWork(o Options, size int) (*RelatedResult, error) {
-	benches := o.benchmarks()
-	cfgs := map[string]sim.Config{
-		"ideal":        sim.DefaultConfig(sim.QueueIdeal, size),
-		"fifos":        sim.FIFOConfig(size),
-		"distance":     sim.DistanceConfig(size),
-		"prescheduled": sim.PrescheduledConfig(size),
-		"segmented":    sim.SegmentedConfig(size, 128, true, true),
+// relatedJobs enumerates the §2 comparison's grid.
+func relatedJobs(o Options) []job {
+	cfgs := []sim.Config{ // in RelatedDesigns order
+		sim.DefaultConfig(sim.QueueIdeal, relatedSize),
+		sim.FIFOConfig(relatedSize),
+		sim.DistanceConfig(relatedSize),
+		sim.PrescheduledConfig(relatedSize),
+		sim.SegmentedConfig(relatedSize, 128, true, true),
 	}
 	var jobs []job
-	for _, wl := range benches {
-		for name, cfg := range cfgs {
-			jobs = append(jobs, job{key: name + "/" + wl, cfg: cfg, wl: wl})
+	for _, wl := range o.benchmarks() {
+		for i, name := range RelatedDesigns {
+			jobs = append(jobs, job{key: name + "/" + wl, cfg: cfgs[i], wl: wl})
 		}
 	}
-	res, err := o.runAll(jobs)
-	if err != nil {
+	return jobs
+}
+
+// RelatedFrom assembles the §2 comparison from already-computed results.
+func RelatedFrom(o Options, res map[string]*sim.Result) (*RelatedResult, error) {
+	benches := o.benchmarks()
+	if err := requireResults(res, relatedJobs(o)); err != nil {
 		return nil, err
 	}
-	out := &RelatedResult{Benchmarks: benches, Size: size, IPC: make(map[string]map[string]float64)}
-	for name := range cfgs {
+	out := &RelatedResult{Benchmarks: benches, IPC: make(map[string]map[string]float64)}
+	for _, name := range RelatedDesigns {
 		out.IPC[name] = make(map[string]float64)
 		for _, wl := range benches {
 			out.IPC[name][wl] = res[name+"/"+wl].IPC
@@ -56,7 +61,7 @@ func RelatedWork(o Options, size int) (*RelatedResult, error) {
 
 // Table renders the comparison.
 func (r *RelatedResult) Table() *stats.Table {
-	t := stats.NewTable(fmt.Sprintf("design@%d", r.Size), r.Benchmarks...)
+	t := stats.NewTable(fmt.Sprintf("design@%d", relatedSize), r.Benchmarks...)
 	for _, name := range RelatedDesigns {
 		cells := make(map[string]string)
 		for _, wl := range r.Benchmarks {

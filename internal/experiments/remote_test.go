@@ -105,10 +105,7 @@ func TestRemoteShardedSweepSharesWarmups(t *testing.T) {
 // process would). The sweep must complete, report the failures in
 // CkptStats, and produce results identical to a store-less run.
 func TestSweepSurvivesStoreDeathMidRun(t *testing.T) {
-	plain, err := Table2(shardTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := runGrid(t, shardTestOptions(), "table2").Results
 
 	inner := sim.NewStoreHandler(t.TempDir())
 	var served atomic.Int64
@@ -123,11 +120,11 @@ func TestSweepSurvivesStoreDeathMidRun(t *testing.T) {
 	o := shardTestOptions()
 	o.CheckpointURL = srv.URL
 	o.CkptStats = &CkptStats{}
-	got, err := Table2(o)
+	sf, err := RunShard(o, "table2", 0, 1)
 	if err != nil {
 		t.Fatalf("sweep failed when the store died mid-run: %v", err)
 	}
-	if !reflect.DeepEqual(got, plain) {
+	if !reflect.DeepEqual(sf.Results, plain) {
 		t.Fatal("results differ from the store-less run after store death")
 	}
 	if pf, fb := o.CkptStats.PutFailures.Load(), o.CkptStats.Fallbacks.Load(); pf+fb == 0 {
@@ -139,18 +136,15 @@ func TestSweepSurvivesStoreDeathMidRun(t *testing.T) {
 // ever listened there) must not change any simulated number, only add
 // fallbacks to the stats.
 func TestSweepSurvivesUnreachableStore(t *testing.T) {
-	plain, err := Table2(shardTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := runGrid(t, shardTestOptions(), "table2").Results
 	o := shardTestOptions()
 	o.CheckpointURL = "http://127.0.0.1:1" // reserved port: connection refused
 	o.CkptStats = &CkptStats{}
-	got, err := Table2(o)
+	sf, err := RunShard(o, "table2", 0, 1)
 	if err != nil {
 		t.Fatalf("sweep failed against an unreachable store: %v", err)
 	}
-	if !reflect.DeepEqual(got, plain) {
+	if !reflect.DeepEqual(sf.Results, plain) {
 		t.Fatal("results differ from the store-less run")
 	}
 	if fb := o.CkptStats.Fallbacks.Load(); fb != 2 {
@@ -165,10 +159,7 @@ func TestSweepSurvivesUnreachableStore(t *testing.T) {
 // read-only/unwritable -ckpt-dir aborted a sweep whose checkpoints
 // were already built. Now it must complete, counting put failures.
 func TestSweepSurvivesUnwritableDirStore(t *testing.T) {
-	plain, err := Table2(shardTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := runGrid(t, shardTestOptions(), "table2").Results
 	o := shardTestOptions()
 	// A directory path running through a regular file is unwritable on
 	// every platform, even for root (unlike a chmod-protected dir).
@@ -178,11 +169,11 @@ func TestSweepSurvivesUnwritableDirStore(t *testing.T) {
 	}
 	o.CheckpointDir = blocker + "/store"
 	o.CkptStats = &CkptStats{}
-	got, err := Table2(o)
+	sf, err := RunShard(o, "table2", 0, 1)
 	if err != nil {
 		t.Fatalf("sweep failed on an unwritable store dir: %v", err)
 	}
-	if !reflect.DeepEqual(got, plain) {
+	if !reflect.DeepEqual(sf.Results, plain) {
 		t.Fatal("results differ from the store-less run")
 	}
 	if pf := o.CkptStats.PutFailures.Load(); pf != 2 {

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -24,33 +22,6 @@ import (
 // MergeShards rather than merged with a silently missing field.
 const ShardSchema = 2
 
-// Experiments lists the shardable experiment grids by name.
-var Experiments = []string{"fig2", "table2", "fig3", "intext", "ablations", "smt"}
-
-// experimentJobs returns the named experiment's full grid, sorted by key.
-func experimentJobs(experiment string, o Options) ([]job, error) {
-	var jobs []job
-	switch experiment {
-	case "fig2":
-		jobs = fig2Jobs(o)
-	case "table2":
-		jobs = table2Jobs(o)
-	case "fig3":
-		jobs = fig3Jobs(o)
-	case "intext":
-		jobs = inTextJobs(o)
-	case "ablations":
-		jobs = ablationJobs(o)
-	case "smt":
-		jobs = smtJobs(o)
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)",
-			experiment, strings.Join(Experiments, ", "))
-	}
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].key < jobs[k].key })
-	return jobs, nil
-}
-
 // gridContexts returns the grid's maximum hardware-context count: 1 for
 // the single-threaded experiments, the largest "+"-joined set for the
 // SMT matrix. Recorded in the shard header so shards of grids with
@@ -58,9 +29,7 @@ func experimentJobs(experiment string, o Options) ([]job, error) {
 func gridContexts(jobs []job) int {
 	m := 1
 	for _, j := range jobs {
-		if n := strings.Count(j.wl, "+") + 1; n > m {
-			m = n
-		}
+		m = max(m, ContextCount(j.wl))
 	}
 	return m
 }
@@ -125,34 +94,45 @@ func RunShard(o Options, experiment string, shard, numShards int) (*ShardFile, e
 	if numShards < 1 || shard < 0 || shard >= numShards {
 		return nil, fmt.Errorf("experiments: shard %d/%d out of range", shard, numShards)
 	}
-	jobs, err := experimentJobs(experiment, o)
+	grid, err := experimentJobs(experiment, o)
 	if err != nil {
 		return nil, err
 	}
 	var mine []job
-	for i := shard; i < len(jobs); i += numShards {
-		mine = append(mine, jobs[i])
+	for i := shard; i < len(grid); i += numShards {
+		mine = append(mine, grid[i])
 	}
-	res, err := o.runAll(mine)
-	if err != nil {
-		return nil, err
-	}
-	sf := &ShardFile{
+	return o.simulate(experiment, grid, mine, shard, numShards)
+}
+
+// newShardFile returns the header of shard `shard` of `numShards` of an
+// experiment's grid under o, with no results yet. It is the one place a
+// shard-file header is built: shards, coordinator skeletons, job
+// fragments and pre-screened sweeps all start here.
+func newShardFile(o Options, experiment string, grid []job, shard, numShards int) *ShardFile {
+	return &ShardFile{
 		Schema:       ShardSchema,
 		Experiment:   experiment,
 		Shard:        shard,
 		NumShards:    numShards,
-		TotalJobs:    len(jobs),
+		TotalJobs:    len(grid),
 		Instructions: o.Instructions,
 		Warmup:       o.Warmup,
 		Seed:         o.Seed,
-		Contexts:     gridContexts(jobs),
+		Contexts:     gridContexts(grid),
 		Benchmarks:   o.Benchmarks,
-		Results:      make(map[string]*RecordedResult, len(mine)),
+		Results:      make(map[string]*RecordedResult),
 	}
-	if o.CkptStats != nil {
-		sf.CkptStats = o.CkptStats.Values()
+}
+
+// simulate runs the jobs mine, a subset of grid, and records their
+// results as shard `shard` of `numShards` of the grid.
+func (o Options) simulate(experiment string, grid, mine []job, shard, numShards int) (*ShardFile, error) {
+	res, err := o.runAll(mine)
+	if err != nil {
+		return nil, err
 	}
+	sf := newShardFile(o, experiment, grid, shard, numShards)
 	for key, r := range res {
 		sf.Results[key] = &RecordedResult{
 			Workload:     r.Workload,
@@ -162,6 +142,9 @@ func RunShard(o Options, experiment string, shard, numShards int) (*ShardFile, e
 			IPC:          r.IPC,
 			Stats:        r.Stats.Values(),
 		}
+	}
+	if o.CkptStats != nil {
+		sf.CkptStats = o.CkptStats.Values()
 	}
 	return sf, nil
 }
@@ -215,19 +198,10 @@ func MergeShards(files []*ShardFile) (*ShardFile, error) {
 		return nil, fmt.Errorf("experiments: %d shard files for a %d-shard sweep", len(files), first.NumShards)
 	}
 	seen := make(map[int]bool, len(files))
-	merged := &ShardFile{
-		Schema:       ShardSchema,
-		Experiment:   first.Experiment,
-		Shard:        0,
-		NumShards:    1,
-		TotalJobs:    first.TotalJobs,
-		Instructions: first.Instructions,
-		Warmup:       first.Warmup,
-		Seed:         first.Seed,
-		Contexts:     first.Contexts,
-		Benchmarks:   first.Benchmarks,
-		Results:      make(map[string]*RecordedResult, first.TotalJobs),
-	}
+	merged := *first
+	merged.Shard, merged.NumShards = 0, 1
+	merged.Results = make(map[string]*RecordedResult, first.TotalJobs)
+	merged.CkptStats = nil
 	for _, sf := range files {
 		if sf.Schema != ShardSchema {
 			return nil, fmt.Errorf("experiments: shard schema %d, this build reads %d", sf.Schema, ShardSchema)
@@ -252,5 +226,5 @@ func MergeShards(files []*ShardFile) (*ShardFile, error) {
 	if len(merged.Results) != merged.TotalJobs {
 		return nil, fmt.Errorf("experiments: merged %d results, grid has %d", len(merged.Results), merged.TotalJobs)
 	}
-	return merged, nil
+	return &merged, nil
 }

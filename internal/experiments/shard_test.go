@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,69 +11,78 @@ func shardTestOptions() Options {
 	return Options{Instructions: 2000, Warmup: 10_000, Seed: 1, Benchmarks: []string{"swim", "gcc"}}
 }
 
-// TestShardedSweepMatchesSingleProcess is the sharding contract: running
-// a grid as two shards and merging must reproduce the single-process
-// result set bit for bit — including the serialized JSON, so shards can
-// be compared with cmp(1) in CI.
+// TestShardedSweepMatchesSingleProcess is the sharding contract, checked
+// for every registered experiment: two shards merged (in either order)
+// are byte-identical to the single-process run, including the
+// serialized JSON that CI compares with cmp(1); the merge renders the
+// same text as the direct run; and a coordinator's GridPlan skeleton
+// filled by RunJobs over every key reproduces the same file.
 func TestShardedSweepMatchesSingleProcess(t *testing.T) {
-	o := shardTestOptions()
-	full, err := RunShard(o, "table2", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0, err := RunShard(o, "table2", 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := RunShard(o, "table2", 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s0.Results)+len(s1.Results) != len(full.Results) {
-		t.Fatalf("shards hold %d+%d results, full run %d", len(s0.Results), len(s1.Results), len(full.Results))
-	}
-	// Merge order must not matter.
-	merged, err := MergeShards([]*ShardFile{s1, s0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged, full) {
-		t.Fatal("merged shard set differs from single-process run")
-	}
-	mj, err := json.Marshal(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fj, err := json.Marshal(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mj, fj) {
-		t.Fatal("merged JSON is not byte-identical to the single-process JSON")
-	}
+	o := Options{Instructions: 500, Warmup: 2000, Seed: 1, Benchmarks: []string{"swim"}}
+	for _, name := range Experiments {
+		t.Run(name, func(t *testing.T) {
+			full := runGrid(t, o, name)
+			want, err := full.MarshalPretty()
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := Render(full)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// The assembled table must also match one computed the ordinary way.
-	direct, err := Table2(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromShards, err := Table2From(merged.Options(), merged.SimResults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromShards, direct) {
-		t.Fatal("Table2 assembled from shards differs from direct Table2")
+			s0, err := RunShard(o, name, 0, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s1, err := RunShard(o, name, 1, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged, err := MergeShards([]*ShardFile{s1, s0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := merged.MarshalPretty(); !bytes.Equal(got, want) {
+				t.Fatal("merged JSON is not byte-identical to the single-process JSON")
+			}
+			if text, err := Render(merged); err != nil || text != direct {
+				t.Fatalf("merge renders differently from the direct run (err %v):\n%s\nvs\n%s", err, text, direct)
+			}
+
+			plan, jobs, err := GridPlan(o, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := make([]string, len(jobs))
+			for i, j := range jobs {
+				keys[i] = j.Key
+			}
+			frag, err := RunJobs(o, name, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan.Results = frag.Results
+			for _, sf := range []*ShardFile{plan, frag} {
+				if got, _ := sf.MarshalPretty(); !bytes.Equal(got, want) {
+					t.Fatal("GridPlan + RunJobs over every key differs from the single-process JSON")
+				}
+			}
+		})
 	}
 }
 
-// TestShardPartitionCoversEveryExperiment: for every named grid, the
-// shard partition is a disjoint cover, independent of shard count.
+// TestShardPartitionCoversEveryExperiment: for every registered grid,
+// the shard partition is a disjoint cover, independent of shard count.
 func TestShardPartitionCoversEveryExperiment(t *testing.T) {
 	o := Options{Instructions: 1, Warmup: 1, Seed: 1, Benchmarks: []string{"swim"}}
-	for _, exp := range Experiments {
-		jobs, err := experimentJobs(exp, o)
+	for _, e := range registry {
+		jobs, err := experimentJobs(e.name, o)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(jobs) == 0 {
+			t.Fatalf("%s: empty grid", e.name)
 		}
 		for _, n := range []int{1, 2, 3, 7} {
 			seen := make(map[string]int)
@@ -84,17 +92,36 @@ func TestShardPartitionCoversEveryExperiment(t *testing.T) {
 				}
 			}
 			if len(seen) != len(jobs) {
-				t.Fatalf("%s/%d shards: %d keys covered, grid has %d", exp, n, len(seen), len(jobs))
+				t.Fatalf("%s/%d shards: %d keys covered, grid has %d", e.name, n, len(seen), len(jobs))
 			}
 			for key, c := range seen {
 				if c != 1 {
-					t.Fatalf("%s/%d shards: key %s assigned %d times", exp, n, key, c)
+					t.Fatalf("%s/%d shards: key %s assigned %d times", e.name, n, key, c)
 				}
 			}
 		}
 	}
 	if _, err := experimentJobs("nope", o); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// TestSelect: "all" runs every registered experiment but the SMT matrix,
+// in registry order; a single name runs itself; unknown names fail.
+func TestSelect(t *testing.T) {
+	all, err := Select("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"fig2", "table2", "fig3", "intext", "related", "power", "ablations"}
+	if !reflect.DeepEqual(all, want) {
+		t.Fatalf("Select(all) = %v, want %v", all, want)
+	}
+	if one, err := Select("smt"); err != nil || !reflect.DeepEqual(one, []string{"smt"}) {
+		t.Fatalf("Select(smt) = %v, %v", one, err)
+	}
+	if _, err := Select("nope"); err == nil || !strings.Contains(err.Error(), "fig2") {
+		t.Fatalf("unknown experiment: got %v, want an error listing the registry", err)
 	}
 }
 
@@ -212,26 +239,17 @@ func TestMergeShardsRejectsBadSets(t *testing.T) {
 // results.
 func TestCheckpointDirSkipsWarmup(t *testing.T) {
 	o := shardTestOptions()
-	plain, err := Table2(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := runGrid(t, o, "table2").Results
 
 	o.CheckpointDir = t.TempDir()
 	o.CkptStats = &CkptStats{}
-	cold, err := Table2(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := runGrid(t, o, "table2").Results
 	if h, m := o.CkptStats.Hits.Load(), o.CkptStats.Misses.Load(); h != 0 || m != 2 {
 		t.Fatalf("cold batch: hits=%d misses=%d, want 0/2 (one per workload)", h, m)
 	}
 
 	o.CkptStats = &CkptStats{}
-	warm, err := Table2(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := runGrid(t, o, "table2").Results
 	if h, m := o.CkptStats.Hits.Load(), o.CkptStats.Misses.Load(); h != 2 || m != 0 {
 		t.Fatalf("warm batch: hits=%d misses=%d, want 2/0", h, m)
 	}

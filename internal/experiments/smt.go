@@ -98,15 +98,6 @@ type SMTResult struct {
 	Committed map[string]map[int]map[string][]int64
 }
 
-// SMT runs the SMT scenario matrix.
-func SMT(o Options) (*SMTResult, error) {
-	res, err := o.runAll(smtJobs(o))
-	if err != nil {
-		return nil, err
-	}
-	return SMTFrom(o, res)
-}
-
 // SMTFrom assembles the SMT matrix from already-computed results (a
 // local batch or a merged sharded sweep).
 func SMTFrom(o Options, res map[string]*sim.Result) (*SMTResult, error) {

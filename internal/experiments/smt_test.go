@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -16,7 +14,13 @@ func smtTestOptions() Options {
 // retired instruction.
 func TestSMTShape(t *testing.T) {
 	o := smtTestOptions()
-	r, err := SMT(o)
+	sf := runGrid(t, o, "smt")
+	// The header carries the grid's context count, so SMT shards can
+	// never merge with single-threaded ones.
+	if sf.Contexts != 4 {
+		t.Fatalf("grid context count = %d, want 4", sf.Contexts)
+	}
+	r, err := SMTFrom(o, sf.SimResults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,89 +51,23 @@ func TestSMTShape(t *testing.T) {
 	}
 }
 
-// TestSMTShardedSweepMatchesSingleProcess: the sharding contract holds
-// for the multi-context grid — two shards merged are byte-identical to
-// one process, and the shard header carries the context count so SMT
-// shards can never merge with single-threaded ones.
-func TestSMTShardedSweepMatchesSingleProcess(t *testing.T) {
-	o := smtTestOptions()
-	full, err := RunShard(o, "smt", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Contexts != 4 {
-		t.Fatalf("grid context count = %d, want 4", full.Contexts)
-	}
-	s0, err := RunShard(o, "smt", 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := RunShard(o, "smt", 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := MergeShards([]*ShardFile{s1, s0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mj, err := json.Marshal(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fj, err := json.Marshal(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mj, fj) {
-		t.Fatal("merged SMT JSON is not byte-identical to the single-process JSON")
-	}
-
-	direct, err := SMT(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromShards, err := SMTFrom(merged.Options(), merged.SimResults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromShards, direct) {
-		t.Fatal("SMT matrix assembled from shards differs from direct run")
-	}
-
-	// A doctored context count must refuse to merge.
-	bad := *s0
-	bad.Contexts = 1
-	if _, err := MergeShards([]*ShardFile{&bad, s1}); err == nil {
-		t.Fatal("context-count mismatch merged silently")
-	}
-}
-
 // TestSMTCheckpointDirSkipsWarmup: the SMT grid shares one checkpoint
 // per (context set, geometry) through a store: the cold batch misses
 // once per context set, the warm batch hits every time, results
 // identical throughout.
 func TestSMTCheckpointDirSkipsWarmup(t *testing.T) {
 	o := smtTestOptions()
-	plain, err := SMT(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := runGrid(t, o, "smt").Results
 
 	o.CheckpointDir = t.TempDir()
 	o.CkptStats = &CkptStats{}
-	cold, err := SMT(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := runGrid(t, o, "smt").Results
 	if h, m := o.CkptStats.Hits.Load(), o.CkptStats.Misses.Load(); h != 0 || m != 2 {
 		t.Fatalf("cold batch: hits=%d misses=%d, want 0/2 (one per context set)", h, m)
 	}
 
 	o.CkptStats = &CkptStats{}
-	warm, err := SMT(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := runGrid(t, o, "smt").Results
 	if h, m := o.CkptStats.Hits.Load(), o.CkptStats.Misses.Load(); h != 2 || m != 0 {
 		t.Fatalf("warm batch: hits=%d misses=%d, want 2/0", h, m)
 	}
