@@ -15,6 +15,7 @@ import (
 	"repro/internal/iq"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/perf"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/uop"
@@ -224,62 +225,16 @@ func BenchmarkAblationInstantWires(b *testing.B) {
 // Microbenchmarks of the simulator's hot paths.
 
 // BenchmarkSegmentedQueueCycle measures one BeginCycle+Issue round trip of
-// a loaded 512-entry segmented queue.
+// a loaded 512-entry segmented queue, refilled as it issues.
 func BenchmarkSegmentedQueueCycle(b *testing.B) {
-	q := core.MustNew(core.DefaultConfig(512, 128))
-	var seq int64
-	for i := 0; i < 400; i++ {
-		in := isa.Inst{Class: isa.IntAlu, Src1: isa.RegNone, Src2: isa.RegNone, Dest: 1 + i%20}
-		u := uop.New(seq, in)
-		seq++
-		if !q.Dispatch(0, u) {
-			break
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := int64(i + 1)
-		q.BeginCycle(c)
-		for _, u := range q.Issue(c, 8, func(*uop.UOp) bool { return true }) {
-			u.Complete = c + 1
-			q.Writeback(c+1, u)
-			// Refill to keep the queue loaded.
-			nu := uop.New(seq, u.Inst)
-			seq++
-			q.Dispatch(c, nu)
-		}
-		q.EndCycle(c, true)
-	}
+	perf.QueueCycleLoop(b, core.MustNew(core.DefaultConfig(512, 128)))
 }
 
 // BenchmarkConventionalQueueCycle measures the same round trip over the
 // conventional (ideal) queue, whose select runs straight off the ready
 // bitmap.
 func BenchmarkConventionalQueueCycle(b *testing.B) {
-	q := iq.NewConventional(512)
-	var seq int64
-	for i := 0; i < 400; i++ {
-		in := isa.Inst{Class: isa.IntAlu, Src1: isa.RegNone, Src2: isa.RegNone, Dest: 1 + i%20}
-		u := uop.New(seq, in)
-		seq++
-		if !q.Dispatch(0, u) {
-			break
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := int64(i + 1)
-		q.BeginCycle(c)
-		for _, u := range q.Issue(c, 8, func(*uop.UOp) bool { return true }) {
-			u.Complete = c + 1
-			q.Writeback(c+1, u)
-			// Refill to keep the queue loaded.
-			nu := uop.New(seq, u.Inst)
-			seq++
-			q.Dispatch(c, nu)
-		}
-		q.EndCycle(c, true)
-	}
+	perf.QueueCycleLoop(b, iq.NewConventional(512))
 }
 
 // BenchmarkCacheHierarchy measures demand accesses through the Table 1

@@ -106,3 +106,33 @@ func Remove(w []uint64, i int) {
 		w[j] >>= 1
 	}
 }
+
+// RemoveRun drops the n bits at positions i..i+n-1, shifting every higher
+// bit down by n; the top n bits come in clear. It is n Removes at i in one
+// pass over the words.
+func RemoveRun(w []uint64, i, n int) {
+	if n <= 0 {
+		return
+	}
+	k := i >> 6
+	off := uint(i) & 63
+	low := (uint64(1) << off) - 1
+	w[k] = w[k]&low | bitsFrom(w, i+n)<<off
+	for k++; k < len(w); k++ {
+		w[k] = bitsFrom(w, k<<6+n)
+	}
+}
+
+// bitsFrom returns the 64 bits starting at position pos, reading clear
+// past the end of w.
+func bitsFrom(w []uint64, pos int) uint64 {
+	k, off := pos>>6, uint(pos)&63
+	var x uint64
+	if k < len(w) {
+		x = w[k] >> off
+	}
+	if off != 0 && k+1 < len(w) {
+		x |= w[k+1] << (64 - off)
+	}
+	return x
+}

@@ -49,9 +49,9 @@ func (r *rng) next() uint64 {
 
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
-// TestAgainstModel drives random insert/remove/set/clear sequences across
-// word boundaries and compares every observable against the bool-slice
-// model.
+// TestAgainstModel drives random insert/remove/run-remove/set/clear
+// sequences across word boundaries and compares every observable against
+// the bool-slice model.
 func TestAgainstModel(t *testing.T) {
 	const capacity = 200 // > 3 words
 	r := &rng{s: 42}
@@ -79,20 +79,29 @@ func TestAgainstModel(t *testing.T) {
 	}
 
 	for step := 0; step < 4000; step++ {
-		switch op := r.intn(4); {
-		case op == 0 && len(m) < capacity-1, len(m) == 0:
+		// Inserts outweigh removals so the sequence grows past one word
+		// and run removals shift bits across word boundaries.
+		switch op := r.intn(12); {
+		case op <= 4 && len(m) < capacity-1, len(m) == 0:
 			i := r.intn(len(m) + 1)
 			v := r.intn(2) == 0
 			Insert(w, i, v)
 			m.insert(i, v)
-		case op == 1:
+		case op <= 5:
 			i := r.intn(len(m))
 			Remove(w, i)
 			m.remove(i)
-		case op == 2:
+		case op == 6:
 			i := r.intn(len(m))
 			Set(w, i)
 			m[i] = true
+		case op == 7:
+			i := r.intn(len(m))
+			n := 1 + r.intn(min(len(m)-i, 4))
+			RemoveRun(w, i, n)
+			for j := 0; j < n; j++ {
+				m.remove(i)
+			}
 		default:
 			i := r.intn(len(m))
 			v := r.intn(2) == 0

@@ -119,53 +119,54 @@ func TestChainPoolAccountingProperty(t *testing.T) {
 func TestChainRefObserve(t *testing.T) {
 	ch := chain{id: 3, gen: 1}
 	cr := chainRef{ch: ch, delay: 7, headLoc: 2}
+	now := int64(100) // queue ticks; each tick below advances it by one
 
 	// Advance: delay -2, headLoc -1.
-	cr.observe(signal{ch: ch, typ: sigAdvance})
-	if cr.delay != 5 || cr.headLoc != 1 || cr.selfTimed {
+	cr.observe(signal{ch: ch, typ: sigAdvance}, now)
+	if cr.delayAt(now) != 5 || cr.headLoc != 1 || cr.selfTimed {
 		t.Fatalf("after advance: %+v", cr)
 	}
 	// Signals for other chains (or other generations) are ignored.
-	cr.observe(signal{ch: chain{id: 3, gen: 2}, typ: sigAdvance})
-	cr.observe(signal{ch: chain{id: 4, gen: 1}, typ: sigAdvance})
-	if cr.delay != 5 || cr.headLoc != 1 {
+	cr.observe(signal{ch: chain{id: 3, gen: 2}, typ: sigAdvance}, now)
+	cr.observe(signal{ch: chain{id: 4, gen: 1}, typ: sigAdvance}, now)
+	if cr.delayAt(now) != 5 || cr.headLoc != 1 {
 		t.Fatalf("foreign signal applied: %+v", cr)
 	}
 	// Second advance reaches headLoc 0.
-	cr.observe(signal{ch: ch, typ: sigAdvance})
-	if cr.delay != 3 || cr.headLoc != 0 || cr.selfTimed {
+	cr.observe(signal{ch: ch, typ: sigAdvance}, now)
+	if cr.delayAt(now) != 3 || cr.headLoc != 0 || cr.selfTimed {
 		t.Fatalf("after second advance: %+v", cr)
 	}
 	// Advance with headLoc 0 is the issue assertion: self-timed mode.
-	cr.observe(signal{ch: ch, typ: sigAdvance})
-	if !cr.selfTimed || cr.delay != 3 {
+	cr.observe(signal{ch: ch, typ: sigAdvance}, now)
+	if !cr.selfTimed || cr.delayAt(now) != 3 {
 		t.Fatalf("issue assertion mishandled: %+v", cr)
 	}
 	// Self-timed countdown.
-	cr.tick()
-	cr.tick()
-	if cr.delay != 1 {
+	now++
+	now++
+	if cr.delayAt(now) != 1 {
 		t.Fatalf("after ticks: %+v", cr)
 	}
 	// Suspend pauses, resume continues.
-	cr.observe(signal{ch: ch, typ: sigSuspend})
-	cr.tick()
-	if cr.delay != 1 {
+	cr.observe(signal{ch: ch, typ: sigSuspend}, now)
+	now++
+	if cr.delayAt(now) != 1 {
 		t.Fatal("tick while suspended changed delay")
 	}
-	cr.observe(signal{ch: ch, typ: sigResume})
-	cr.tick()
-	if cr.delay != 0 {
+	cr.observe(signal{ch: ch, typ: sigResume}, now)
+	now++
+	if cr.delayAt(now) != 0 {
 		t.Fatal("resume did not restart countdown")
 	}
 	// Delay floors at zero.
-	cr.tick()
-	if cr.delay != 0 {
+	now++
+	if cr.delayAt(now) != 0 {
 		t.Fatal("delay went negative")
 	}
 	// Stale advance after self-timed is ignored.
-	cr.observe(signal{ch: ch, typ: sigAdvance})
-	if cr.delay != 0 || !cr.selfTimed {
+	cr.observe(signal{ch: ch, typ: sigAdvance}, now)
+	if cr.delayAt(now) != 0 || !cr.selfTimed {
 		t.Fatal("stale advance applied")
 	}
 }
@@ -173,9 +174,9 @@ func TestChainRefObserve(t *testing.T) {
 func TestChainRefDelayFloor(t *testing.T) {
 	ch := chain{id: 1}
 	cr := chainRef{ch: ch, delay: 1, headLoc: 3}
-	cr.observe(signal{ch: ch, typ: sigAdvance})
-	if cr.delay != 0 {
-		t.Fatalf("delay = %d, want floor 0", cr.delay)
+	cr.observe(signal{ch: ch, typ: sigAdvance}, 0)
+	if cr.delayAt(0) != 0 {
+		t.Fatalf("delay = %d, want floor 0", cr.delayAt(0))
 	}
 	if cr.headLoc != 2 {
 		t.Fatalf("headLoc = %d", cr.headLoc)
@@ -210,44 +211,45 @@ func TestWirePipe(t *testing.T) {
 func TestRegEntry(t *testing.T) {
 	ch := chain{id: 2}
 	re := regEntry{valid: true, ch: ch, latency: 5, headLoc: 2}
-	if !re.outstanding() {
+	now := int64(0) // queue ticks; each tick below advances it by one
+	if !re.outstandingAt(now) {
 		t.Fatal("pending value should be outstanding")
 	}
 	// Promotion signals decrement head location but leave latency alone
 	// (it is relative to head issue).
-	re.observe(signal{ch: ch, typ: sigAdvance})
-	if re.headLoc != 1 || re.latency != 5 {
+	re.observe(signal{ch: ch, typ: sigAdvance}, now)
+	if re.headLoc != 1 || re.latencyAt(now) != 5 {
 		t.Fatalf("after advance: %+v", re)
 	}
-	re.observe(signal{ch: ch, typ: sigAdvance})
-	re.observe(signal{ch: ch, typ: sigAdvance}) // issue
+	re.observe(signal{ch: ch, typ: sigAdvance}, now)
+	re.observe(signal{ch: ch, typ: sigAdvance}, now) // issue
 	if !re.selfTimed {
 		t.Fatal("issue assertion should start self-timing")
 	}
-	re.tick()
-	if re.latency != 4 {
-		t.Fatalf("latency = %d", re.latency)
+	now++
+	if re.latencyAt(now) != 4 {
+		t.Fatalf("latency = %d", re.latencyAt(now))
 	}
-	re.observe(signal{ch: ch, typ: sigSuspend})
-	re.tick()
-	if re.latency != 4 {
+	re.observe(signal{ch: ch, typ: sigSuspend}, now)
+	now++
+	if re.latencyAt(now) != 4 {
 		t.Fatal("suspended row ticked")
 	}
-	re.observe(signal{ch: ch, typ: sigResume})
+	re.observe(signal{ch: ch, typ: sigResume}, now)
 	for i := 0; i < 10; i++ {
-		re.tick()
+		now++
 	}
-	if re.latency != 0 {
-		t.Fatalf("latency floor: %d", re.latency)
+	if re.latencyAt(now) != 0 {
+		t.Fatalf("latency floor: %d", re.latencyAt(now))
 	}
-	if re.outstanding() {
+	if re.outstandingAt(now) {
 		t.Fatal("self-timed zero-latency value is available for scheduling (§3.3)")
 	}
 	// Invalid rows ignore everything.
 	var dead regEntry
-	dead.observe(signal{ch: ch, typ: sigAdvance})
-	dead.tick()
-	if dead.valid || dead.outstanding() {
+	dead.observe(signal{ch: ch, typ: sigAdvance}, now)
+	now++
+	if dead.valid || dead.outstandingAt(now) {
 		t.Fatal("invalid row changed state")
 	}
 }
@@ -297,21 +299,22 @@ func TestChainRefInvariantProperty(t *testing.T) {
 	f := func(ops []uint8, delay, headLoc uint8) bool {
 		ch := chain{id: 1}
 		cr := chainRef{ch: ch, delay: int(delay % 64), headLoc: int(headLoc % 16)}
+		var now int64
 		wasSelfTimed := false
 		for _, op := range ops {
 			switch op % 5 {
 			case 0:
-				cr.observe(signal{ch: ch, typ: sigAdvance})
+				cr.observe(signal{ch: ch, typ: sigAdvance}, now)
 			case 1:
-				cr.observe(signal{ch: ch, typ: sigSuspend})
+				cr.observe(signal{ch: ch, typ: sigSuspend}, now)
 			case 2:
-				cr.observe(signal{ch: ch, typ: sigResume})
+				cr.observe(signal{ch: ch, typ: sigResume}, now)
 			case 3:
-				cr.tick()
+				now++
 			case 4:
-				cr.observe(signal{ch: chain{id: 2}, typ: sigAdvance}) // foreign
+				cr.observe(signal{ch: chain{id: 2}, typ: sigAdvance}, now) // foreign
 			}
-			if cr.delay < 0 || cr.headLoc < 0 {
+			if cr.delayAt(now) < 0 || cr.headLoc < 0 {
 				return false
 			}
 			if wasSelfTimed && !cr.selfTimed {
@@ -332,22 +335,23 @@ func TestRegEntryInvariantProperty(t *testing.T) {
 	f := func(ops []uint8, latency, headLoc uint8) bool {
 		ch := chain{id: 3}
 		re := regEntry{valid: true, ch: ch, latency: int(latency % 64), headLoc: int(headLoc % 16)}
+		var now int64
 		wasAvailable := false
 		for _, op := range ops {
 			switch op % 4 {
 			case 0:
-				re.observe(signal{ch: ch, typ: sigAdvance})
+				re.observe(signal{ch: ch, typ: sigAdvance}, now)
 			case 1:
-				re.observe(signal{ch: ch, typ: sigSuspend})
+				re.observe(signal{ch: ch, typ: sigSuspend}, now)
 			case 2:
-				re.observe(signal{ch: ch, typ: sigResume})
+				re.observe(signal{ch: ch, typ: sigResume}, now)
 			case 3:
-				re.tick()
+				now++
 			}
-			if re.latency < 0 || re.headLoc < 0 {
+			if re.latencyAt(now) < 0 || re.headLoc < 0 {
 				return false
 			}
-			avail := !re.outstanding()
+			avail := !re.outstandingAt(now)
 			if wasAvailable && !avail {
 				return false // availability is absorbing
 			}

@@ -55,12 +55,12 @@ func (e *entry) CloneIQ(clone *uop.UOp) any {
 	return ne
 }
 
-// Clone implements iq.Queue: a deep copy of the segments, chain pool,
-// wire pipeline, register table and predictors, with every held
-// instruction remapped through m. Each resident entry's clone is the one
-// CloneIQ attached to the remapped instruction, so segments and uops
-// agree on entry identity. Scratch buffers and the entry freelist are not
-// carried over.
+// Clone implements iq.Queue: a deep copy of the segments, per-wire
+// indexes, chain pool, wire pipeline, register table and predictors, with
+// every held instruction remapped through m. Each resident entry's clone
+// is the one CloneIQ attached to the remapped instruction, so segments,
+// member lists and uops agree on entry identity. Scratch buffers and the
+// entry freelist are not carried over.
 func (q *SegmentedIQ) Clone(m *uop.CloneMap) iq.Queue {
 	n := new(SegmentedIQ)
 	*n = *q
@@ -96,6 +96,24 @@ func (q *SegmentedIQ) Clone(m *uop.CloneMap) iq.Queue {
 	n.unresolved = make([]*uop.UOp, len(q.unresolved))
 	for i, u := range q.unresolved {
 		n.unresolved[i] = m.Get(u)
+	}
+	// The member lists keep their order (delivery order is not observable,
+	// but clones stay field-for-field equal to their originals); every
+	// listed entry is resident, so its clone is the one CloneIQ attached.
+	n.members = make([][]member, len(q.members))
+	for w, l := range q.members {
+		if len(l) == 0 {
+			continue
+		}
+		nl := make([]member, len(l))
+		for i, mb := range l {
+			nl[i] = member{e: m.Get(mb.e.u).IQ.(*entry), ref: mb.ref}
+		}
+		n.members[w] = nl
+	}
+	n.rows = make([][]int32, len(q.rows))
+	for w, l := range q.rows {
+		n.rows[w] = append([]int32(nil), l...)
 	}
 	n.chains = q.chains.clone()
 	n.wires = q.wires.clone()

@@ -58,6 +58,11 @@ func TestCloneFuzz(t *testing.T) {
 			c.UseHMP, c.UseLRP = true, true
 			return c
 		}(),
+		"instant-wires": func() core.Config {
+			c := core.DefaultConfig(128, 32)
+			c.InstantWires = true
+			return c
+		}(),
 	}
 	for name, cfg := range cfgs {
 		cfg := cfg

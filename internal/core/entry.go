@@ -8,16 +8,50 @@ import (
 // chainRef is one chain membership of a queue entry: the per-IQ-entry
 // per-chain fields of §3.3 (chain ID, delay value, chain-head location,
 // self-timed flag), plus the suspend flag of §3.4.
+//
+// A running self-timed countdown is stored as a deadline rather than
+// decremented every cycle: while running() the delay value is
+// max(0, due-now) in queue ticks, and delay is unused (zero); otherwise
+// delay holds the value and due is unused. Suspend freezes the remaining
+// value back into delay; resume re-arms due.
 type chainRef struct {
 	ch        chain
 	delay     int
+	due       int64
 	headLoc   int
 	selfTimed bool
 	suspended bool
+	// slot is the reference's index in the queue's member list for its
+	// wire, while its entry is resident on a real wire.
+	slot int32
 }
 
-// observe applies one chain-wire assertion to the reference.
-func (cr *chainRef) observe(s signal) {
+// untilDue is a running countdown's value at tick now.
+func untilDue(due, now int64) int {
+	if due > now {
+		return int(due - now)
+	}
+	return 0
+}
+
+// running reports whether the self-timed countdown is counting down.
+func (cr *chainRef) running() bool { return cr.selfTimed && !cr.suspended }
+
+// delayAt returns the reference's delay value at queue tick now.
+func (cr *chainRef) delayAt(now int64) int {
+	if cr.running() {
+		return untilDue(cr.due, now)
+	}
+	return cr.delay
+}
+
+// start arms the countdown with the frozen delay value.
+func (cr *chainRef) start(now int64) {
+	cr.due, cr.delay = now+int64(cr.delay), 0
+}
+
+// observe applies one chain-wire assertion to the reference at tick now.
+func (cr *chainRef) observe(s signal, now int64) {
 	if cr.ch != s.ch {
 		return
 	}
@@ -35,18 +69,20 @@ func (cr *chainRef) observe(s signal) {
 		} else {
 			// Head-location zero: this assertion is the head's issue.
 			cr.selfTimed = true
+			if !cr.suspended {
+				cr.start(now)
+			}
 		}
 	case sigSuspend:
+		if cr.running() {
+			cr.delay, cr.due = untilDue(cr.due, now), 0
+		}
 		cr.suspended = true
 	case sigResume:
+		if cr.selfTimed && cr.suspended {
+			cr.start(now)
+		}
 		cr.suspended = false
-	}
-}
-
-// tick advances self-timed countdown by one cycle.
-func (cr *chainRef) tick() {
-	if cr.selfTimed && !cr.suspended && cr.delay > 0 {
-		cr.delay--
 	}
 }
 
@@ -54,7 +90,10 @@ func (cr *chainRef) tick() {
 // dispatch to writeback (chains are deallocated at head writeback, after
 // the entry has left the queue segments).
 type entry struct {
-	u   *uop.UOp
+	u *uop.UOp
+	// seg is the segment holding the entry, or -1 while it is off the
+	// segments: a batch-promotion candidate in transit, the entry deadlock
+	// recovery recycles, or an issued instruction.
 	seg int
 	// id is the entry's stable scoreboard handle, assigned once and kept
 	// across pool recycling. pos is the entry's slot in its segment —
@@ -80,58 +119,74 @@ type entry struct {
 	pushedDown bool
 }
 
-// effDelay returns the entry's effective delay value: the maximum over its
-// chain memberships (§3.2: an instruction on two chains dynamically uses
-// the larger value, indicating the later-arriving operand).
-func (e *entry) effDelay() int {
+// effDelay returns the entry's effective delay value at queue tick now:
+// the maximum over its chain memberships (§3.2: an instruction on two
+// chains dynamically uses the larger value, indicating the later-arriving
+// operand).
+func (e *entry) effDelay(now int64) int {
 	d := 0
 	for i := 0; i < e.nrefs; i++ {
-		if e.refs[i].delay > d {
-			d = e.refs[i].delay
+		if v := e.refs[i].delayAt(now); v > d {
+			d = v
 		}
 	}
 	return d
 }
 
-// observe applies a chain-wire assertion to all memberships.
-func (e *entry) observe(s signal) {
+// observe applies a chain-wire assertion to all memberships at tick now.
+func (e *entry) observe(s signal, now int64) {
 	for i := 0; i < e.nrefs; i++ {
-		e.refs[i].observe(s)
-	}
-}
-
-// tick advances self-timed countdowns.
-func (e *entry) tick() {
-	for i := 0; i < e.nrefs; i++ {
-		e.refs[i].tick()
+		e.refs[i].observe(s, now)
 	}
 }
 
 // regEntry is one register's row in the register information table of
 // §3.3: the chain that will produce the register, the value's expected
 // latency relative to the chain head's issue, the head's current segment,
-// and the self-timed flag (plus suspension, mirroring chain state).
+// and the self-timed flag (plus suspension, mirroring chain state). A
+// running self-timed latency is a deadline, exactly as in chainRef:
+// latency holds the value while stopped, due while running.
 type regEntry struct {
 	valid     bool
 	producer  *uop.UOp
 	ch        chain
 	latency   int
+	due       int64
 	headLoc   int
 	selfTimed bool
 	suspended bool
+	// slot is the row's index in the queue's row list for its wire, while
+	// the row is valid on a real wire.
+	slot int32
 }
 
-// outstanding reports whether the register's value is still to be
-// produced for scheduling purposes. Per §3.3, once a self-timed entry's
-// latency reaches zero the value is assumed available.
-func (re *regEntry) outstanding() bool {
-	return re.valid && !(re.selfTimed && re.latency == 0)
+// running reports whether the self-timed latency is counting down.
+func (re *regEntry) running() bool { return re.selfTimed && !re.suspended }
+
+// latencyAt returns the row's latency value at queue tick now.
+func (re *regEntry) latencyAt(now int64) int {
+	if re.running() {
+		return untilDue(re.due, now)
+	}
+	return re.latency
 }
 
-// observe applies a chain-wire assertion to the table row. The latency
-// field is relative to head issue, so promotions adjust only the head
-// location; the issue assertion starts the self-timed countdown.
-func (re *regEntry) observe(s signal) {
+// start arms the countdown with the frozen latency value.
+func (re *regEntry) start(now int64) {
+	re.due, re.latency = now+int64(re.latency), 0
+}
+
+// outstandingAt reports whether the register's value is still to be
+// produced for scheduling purposes at tick now. Per §3.3, once a
+// self-timed entry's latency reaches zero the value is assumed available.
+func (re *regEntry) outstandingAt(now int64) bool {
+	return re.valid && !(re.selfTimed && re.latencyAt(now) == 0)
+}
+
+// observe applies a chain-wire assertion to the table row at tick now.
+// The latency field is relative to head issue, so promotions adjust only
+// the head location; the issue assertion starts the self-timed countdown.
+func (re *regEntry) observe(s signal, now int64) {
 	if !re.valid || re.ch != s.ch {
 		return
 	}
@@ -144,18 +199,20 @@ func (re *regEntry) observe(s signal) {
 			re.headLoc--
 		} else {
 			re.selfTimed = true
+			if !re.suspended {
+				re.start(now)
+			}
 		}
 	case sigSuspend:
+		if re.running() {
+			re.latency, re.due = untilDue(re.due, now), 0
+		}
 		re.suspended = true
 	case sigResume:
+		if re.selfTimed && re.suspended {
+			re.start(now)
+		}
 		re.suspended = false
-	}
-}
-
-// tick advances the self-timed latency countdown.
-func (re *regEntry) tick() {
-	if re.valid && re.selfTimed && !re.suspended && re.latency > 0 {
-		re.latency--
 	}
 }
 
@@ -170,34 +227,10 @@ func newRegTable(threads int) regTable {
 	return make(regTable, threads*isa.NumRegs)
 }
 
+// rowIndex returns the table index of a thread's architectural register.
+func rowIndex(thread, reg int) int { return thread*isa.NumRegs + reg }
+
 // row returns the entry for a thread's architectural register.
 func (t regTable) row(thread, reg int) *regEntry {
-	return &t[thread*isa.NumRegs+reg]
-}
-
-// observe applies a signal to every row.
-func (t regTable) observe(s signal) {
-	for i := range t {
-		t[i].observe(s)
-	}
-}
-
-// tick advances all self-timed rows.
-func (t regTable) tick() {
-	for i := range t {
-		t[i].tick()
-	}
-}
-
-// clearProducer invalidates the row for u's destination if u is still its
-// recorded producer (a younger writer may have replaced it).
-func (t regTable) clearProducer(u *uop.UOp) {
-	if !u.Inst.HasDest() {
-		return
-	}
-	re := t.row(u.Thread, u.Inst.Dest)
-	if re.valid && re.producer == u {
-		re.valid = false
-		re.producer = nil
-	}
+	return &t[rowIndex(thread, reg)]
 }

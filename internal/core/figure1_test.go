@@ -56,7 +56,7 @@ func TestFigure1DelayValues(t *testing.T) {
 		uops = append(uops, u)
 	}
 	for i, u := range uops {
-		if got := u.IQ.(*entry).effDelay(); got != want[i] {
+		if got := u.IQ.(*entry).effDelay(q.ticks); got != want[i] {
 			t.Errorf("i%d delay = %d, want %d", i, got, want[i])
 		}
 	}
@@ -68,7 +68,7 @@ func TestFigure1DelayValues(t *testing.T) {
 		t.Errorf("pure-ALU example allocated %d chains", q.ChainsInUse())
 	}
 	// Its delay must be the max of the two operand paths (r6: 5, r7: 4).
-	if got := uops[8].IQ.(*entry).effDelay(); got != 5 {
+	if got := uops[8].IQ.(*entry).effDelay(q.ticks); got != 5 {
 		t.Errorf("i8 delay = %d, want max(5,4) = 5", got)
 	}
 }

@@ -1,0 +1,165 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/isa"
+	"repro/internal/uop"
+)
+
+// checkIndex verifies the per-wire indexes against the segments and the
+// register table: members holds exactly the resident entries' memberships
+// on real wires, each once, with matching slot back-pointers, and no
+// issued or off-segment entry; rows holds exactly the valid real-wire
+// rows; and no countdown reads negative. Valid between queue operations,
+// not inside BeginCycle's promotion pass.
+func (q *SegmentedIQ) checkIndex() error {
+	want := 0
+	for k, seg := range q.segs {
+		for i, e := range seg {
+			if e.seg != k || int(e.pos) != i {
+				return fmt.Errorf("entry seq %d at segs[%d][%d] records seg %d pos %d", e.u.Seq, k, i, e.seg, e.pos)
+			}
+			for r := 0; r < e.nrefs; r++ {
+				cr := &e.refs[r]
+				if cr.delay < 0 || cr.delayAt(q.ticks) < 0 {
+					return fmt.Errorf("entry seq %d ref %d reads negative: %+v", e.u.Seq, r, *cr)
+				}
+				if cr.running() && cr.delay != 0 {
+					return fmt.Errorf("entry seq %d ref %d running with a frozen value: %+v", e.u.Seq, r, *cr)
+				}
+				if cr.ch.real() {
+					want++
+				}
+			}
+		}
+	}
+	got := 0
+	for w, l := range q.members {
+		for j, m := range l {
+			e := m.e
+			if e.seg < 0 || q.segs[e.seg][e.pos] != e {
+				return fmt.Errorf("members[%d][%d]: entry seq %d is not resident (seg %d)", w, j, e.u.Seq, e.seg)
+			}
+			if e.u.IssueCycle != uop.NotYet {
+				return fmt.Errorf("members[%d][%d]: entry seq %d already issued", w, j, e.u.Seq)
+			}
+			if int(m.ref) >= e.nrefs {
+				return fmt.Errorf("members[%d][%d]: ref %d beyond nrefs %d", w, j, m.ref, e.nrefs)
+			}
+			cr := &e.refs[m.ref]
+			if cr.ch.id != w || int(cr.slot) != j {
+				return fmt.Errorf("members[%d][%d]: ref on wire %d at slot %d", w, j, cr.ch.id, cr.slot)
+			}
+			got++
+		}
+	}
+	if got != want {
+		// Slots are unique (each listed ref points back at its own slot),
+		// so equal counts mean every membership is listed exactly once.
+		return fmt.Errorf("members lists %d memberships, residents hold %d", got, want)
+	}
+	want, got = 0, 0
+	for i := range q.table {
+		re := &q.table[i]
+		if re.latency < 0 || re.latencyAt(q.ticks) < 0 {
+			return fmt.Errorf("row %d reads negative: %+v", i, *re)
+		}
+		if re.valid && re.ch.real() {
+			want++
+		}
+	}
+	for w, l := range q.rows {
+		for j, i := range l {
+			re := &q.table[i]
+			if !re.valid || re.ch.id != w || int(re.slot) != j {
+				return fmt.Errorf("rows[%d][%d]: row %d valid=%v on wire %d at slot %d", w, j, i, re.valid, re.ch.id, re.slot)
+			}
+			got++
+		}
+	}
+	if got != want {
+		return fmt.Errorf("rows lists %d rows, table holds %d valid real-wire rows", got, want)
+	}
+	return nil
+}
+
+// SegmentOf answers from the entry's own position: resident entries
+// report their segment, an issued entry reports -1, and an entry deadlock
+// recovery recycled reports the top segment it was placed in.
+func TestSegmentOfAfterIssueAndRecycle(t *testing.T) {
+	cfg := smallCfg(2, 1, 1)
+	cfg.Bypass = false
+	cfg.Pushdown = false
+	q := MustNew(cfg)
+	r := newTestRenamer()
+
+	ld := r.rename(loadInst(isa.RegNone, 1))
+	q.Dispatch(0, ld)
+	if got := q.SegmentOf(ld); got != 1 {
+		t.Fatalf("load dispatched into segment %d, want top 1", got)
+	}
+	q.BeginCycle(1)
+	if got := q.SegmentOf(ld); got != 0 {
+		t.Fatalf("load promoted to segment %d, want 0", got)
+	}
+	q.BeginCycle(2)
+	if got := q.Issue(2, 1, always); len(got) != 1 {
+		t.Fatal("load did not issue")
+	}
+	if got := q.SegmentOf(ld); got != -1 {
+		t.Fatalf("issued load reports segment %d, want -1", got)
+	}
+
+	// The load never completes, so its consumer never becomes ready: the
+	// queue wedges, recovery forces the consumer down, wedges again with
+	// segment 0 full, and recycles the consumer to the top.
+	con := r.rename(aluInst(1, isa.RegNone, 2))
+	q.Dispatch(2, con)
+	q.EndCycle(2, true)
+	for c := int64(3); c <= 5; c++ {
+		q.BeginCycle(c)
+		q.EndCycle(c, false)
+	}
+	if got := q.SegmentOf(con); got != 0 {
+		t.Fatalf("consumer in segment %d after forced promotion, want 0", got)
+	}
+	q.BeginCycle(6)
+	if got := q.SegmentOf(con); got != 1 {
+		t.Fatalf("recycled consumer reports segment %d, want top 1", got)
+	}
+	s := collect(q)
+	if s.MustGet("deadlock_recoveries") != 2 {
+		t.Fatalf("recoveries = %v, want 2", s.MustGet("deadlock_recoveries"))
+	}
+	if err := q.checkIndex(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A head promoted in the same batch as a later member of its chain
+// delivers its advance to that member exactly once: batch candidates are
+// off-segment until placed, so only the by-hand delivery reaches them.
+func TestBatchPromotionDeliversOnceToLaterCandidates(t *testing.T) {
+	q := MustNew(smallCfg(3, 8, 8))
+	ch, _ := q.chains.alloc()
+	head := addRaw(q, 2, 0, 0, -1)
+	head.isHead = true
+	head.head = ch
+	m := addRaw(q, 2, 1, 0, -1)
+	m.refs[0] = chainRef{ch: ch, delay: 1, headLoc: 1}
+	m.nrefs = 1
+	q.link(m)
+
+	q.BeginCycle(1)
+	if head.seg != 1 || m.seg != 1 {
+		t.Fatalf("head and member in segments %d and %d, want both promoted to 1", head.seg, m.seg)
+	}
+	if cr := m.refs[0]; cr.headLoc != 0 || cr.selfTimed || cr.delayAt(q.ticks) != 0 {
+		t.Fatalf("member after one advance: %+v, want head location 0, not self-timed", cr)
+	}
+	if err := q.checkIndex(); err != nil {
+		t.Fatal(err)
+	}
+}

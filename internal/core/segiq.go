@@ -21,6 +21,16 @@ type SegmentedIQ struct {
 	wires  *wirePipe
 	table  regTable
 
+	// ticks is the clock self-timed countdowns are stamped against: it
+	// advances once per BeginCycle, after wire delivery, and once per
+	// cycle SkipCycles elides, so a running countdown's value is
+	// max(0, due-ticks) with no per-entry work.
+	ticks int64
+	// members and rows index chain memberships and register-table rows by
+	// wire (index.go).
+	members [][]member
+	rows    [][]int32
+
 	hmp *bpred.HitMissPredictor
 	lrp *bpred.LeftRightPredictor
 
@@ -150,13 +160,6 @@ func (q *SegmentedIQ) ExtraDispatchStages() int { return 1 }
 // Config returns the queue's configuration.
 func (q *SegmentedIQ) Config() Config { return q.cfg }
 
-// deliverSeg applies a signal to every entry in segment k.
-func (q *SegmentedIQ) deliverSeg(k int, s signal) {
-	for _, e := range q.segs[k] {
-		e.observe(s)
-	}
-}
-
 // catchUp delivers the signals currently present at segment k to an entry
 // that just arrived there. Signals propagate upward while instructions
 // move downward; without this, an instruction moving into a segment in
@@ -167,7 +170,7 @@ func (q *SegmentedIQ) catchUp(e *entry, k int) {
 		return
 	}
 	for _, s := range q.wires.at(k) {
-		e.observe(s)
+		e.observe(s, q.ticks)
 	}
 }
 
@@ -184,15 +187,13 @@ func (q *SegmentedIQ) catchUp(e *entry, k int) {
 // below them.
 func (q *SegmentedIQ) assertAt(k int, s signal) {
 	q.stWireAsserts.Inc()
-	q.table.observe(s)
+	q.observeRows(s)
 	if q.cfg.InstantWires {
-		for kk := k; kk < q.cfg.Segments; kk++ {
-			q.deliverSeg(kk, s)
-		}
+		q.deliver(s, k, q.cfg.Segments-1)
 		return
 	}
 	q.wires.assert(k, s)
-	q.deliverSeg(k, s)
+	q.deliver(s, k, k)
 }
 
 // newEntry takes an entry from the pool (or allocates one), keeps its
@@ -216,8 +217,9 @@ func (q *SegmentedIQ) newEntry(u *uop.UOp, seg int, arrived int64) *entry {
 }
 
 // segRemove takes e out of segment k at its recorded position, shifting
-// the tail and both bitmap words down. It returns e's ready/store bits so
-// a caller moving the entry to another segment can carry them along.
+// the tail and both bitmap words down, and marks it off-segment. It
+// returns e's ready/store bits so a caller moving the entry to another
+// segment can carry them along.
 func (q *SegmentedIQ) segRemove(k int, e *entry) (ready, store bool) {
 	i := int(e.pos)
 	seg := q.segs[k]
@@ -235,6 +237,7 @@ func (q *SegmentedIQ) segRemove(k int, e *entry) (ready, store bool) {
 	for j := i; j < len(seg); j++ {
 		seg[j].pos = int32(j)
 	}
+	e.seg = -1
 	return ready, store
 }
 
@@ -331,18 +334,13 @@ func (q *SegmentedIQ) BeginCycle(cycle int64) {
 		q.wires.shift()
 		for k := 0; k < q.cfg.Segments; k++ {
 			for _, s := range q.wires.at(k) {
-				q.deliverSeg(k, s)
+				q.deliver(s, k, k)
 			}
 		}
 	}
 
-	// Self-timed countdowns.
-	for k := range q.segs {
-		for _, e := range q.segs[k] {
-			e.tick()
-		}
-	}
-	q.table.tick()
+	// Self-timed countdowns: one tick of the shared clock.
+	q.ticks++
 
 	if q.recoverPending {
 		q.recoverPending = false
@@ -429,7 +427,7 @@ func (q *SegmentedIQ) Quiescent(cycle int64) bool {
 			}
 			for i := 0; i < e.nrefs; i++ {
 				cr := &e.refs[i]
-				if cr.selfTimed && !cr.suspended && cr.delay > 0 {
+				if cr.running() && cr.due > q.ticks {
 					return false
 				}
 			}
@@ -437,7 +435,7 @@ func (q *SegmentedIQ) Quiescent(cycle int64) bool {
 	}
 	for i := range q.table {
 		re := &q.table[i]
-		if re.valid && re.selfTimed && !re.suspended && re.latency > 0 {
+		if re.valid && re.running() && re.due > q.ticks {
 			return false
 		}
 	}
@@ -448,13 +446,16 @@ func (q *SegmentedIQ) Quiescent(cycle int64) bool {
 // would have produced on the elided cycles [from, to). With the queue
 // quiescent the only effects are the wire-pipe shift (a slice-header
 // rotation that must be replayed exactly for state equivalence even though
-// every position is empty) and the sampled statistics.
+// every position is empty), the countdown clock (no countdown is running
+// to a future deadline, but the clock is machine state) and the sampled
+// statistics.
 func (q *SegmentedIQ) SkipCycles(from, to int64) {
 	every := int64(q.cfg.StatsEvery)
 	for x := from; x < to; x++ {
 		if !q.cfg.InstantWires {
 			q.wires.shift()
 		}
+		q.ticks++
 		if every <= 1 || x%every == 0 {
 			q.sampleStats(x)
 		}
@@ -478,10 +479,7 @@ func (q *SegmentedIQ) promote(cycle int64) {
 		if budget <= 0 {
 			continue
 		}
-		thr := threshold(dest)
-		moved := q.moveSelected(k, dest, budget, cycle, false, func(e *entry) bool {
-			return e.arrived < cycle && e.effDelay() < thr
-		})
+		moved := q.moveSelected(k, dest, budget, cycle, pickEligible)
 		budget -= moved
 
 		if q.cfg.Pushdown && budget > 0 {
@@ -494,23 +492,51 @@ func (q *SegmentedIQ) promote(cycle int64) {
 				if n > q.cfg.IssueWidth {
 					n = q.cfg.IssueWidth
 				}
-				q.moveSelected(k, dest, n, cycle, true, func(e *entry) bool {
-					return e.arrived < cycle && e.effDelay() >= thr
-				})
+				q.moveSelected(k, dest, n, cycle, pickBlocked)
 			}
 		}
 	}
 }
 
-// moveSelected moves up to n entries matching pick from segment k to
+// pickMode selects the entries moveSelected moves, by their effective
+// delay against the destination's threshold and whether they have spent a
+// cycle in their current segment.
+type pickMode uint8
+
+const (
+	// pickEligible: promotion (§3.1) — settled, delay below threshold.
+	pickEligible pickMode = iota
+	// pickBlocked: pushdown (§4.1) — settled, delay at or above threshold.
+	pickBlocked
+	// pickBelow: forced recovery promotion (§4.5), preferred choice —
+	// delay below threshold, settled or not.
+	pickBelow
+	// pickAny: forced recovery promotion fallback — the oldest entry.
+	pickAny
+)
+
+// moveSelected moves up to n entries chosen by mode from segment k to
 // segment dest, oldest (lowest sequence number) first, asserting chain
-// wires for promoted heads. It returns the number moved.
-func (q *SegmentedIQ) moveSelected(k, dest, n int, cycle int64, pushdown bool, pick func(*entry) bool) int {
+// wires for promoted heads. It returns the number moved. Moves by
+// pickBlocked and pickAny count as pushdowns.
+func (q *SegmentedIQ) moveSelected(k, dest, n int, cycle int64, mode pickMode) int {
 	// The segment is seq-sorted, so collecting in order with an early
 	// break selects the n oldest matches.
+	thr, now := threshold(dest), q.ticks
 	cand := q.candScratch[:0]
 	for _, e := range q.segs[k] {
-		if pick(e) {
+		var ok bool
+		switch mode {
+		case pickEligible:
+			ok = e.arrived < cycle && e.effDelay(now) < thr
+		case pickBlocked:
+			ok = e.arrived < cycle && e.effDelay(now) >= thr
+		case pickBelow:
+			ok = e.effDelay(now) < thr
+		default:
+			ok = true
+		}
+		if ok {
 			cand = append(cand, e)
 			if len(cand) == n {
 				break
@@ -521,6 +547,7 @@ func (q *SegmentedIQ) moveSelected(k, dest, n int, cycle int64, pushdown bool, p
 		q.candScratch = cand
 		return 0
 	}
+	pushdown := mode == pickBlocked || mode == pickAny
 	q.removeBatch(k, cand)
 	for idx, e := range cand {
 		e.arrived = cycle
@@ -533,7 +560,7 @@ func (q *SegmentedIQ) moveSelected(k, dest, n int, cycle int64, pushdown bool, p
 			// head's wire fired; the batch removal already took them out
 			// of the segment list, so deliver to them by hand.
 			for _, e2 := range cand[idx+1:] {
-				e2.observe(s)
+				e2.observe(s, q.ticks)
 			}
 		}
 		q.promotedThisCycle++
@@ -554,60 +581,52 @@ func (q *SegmentedIQ) moveSelected(k, dest, n int, cycle int64, pushdown bool, p
 
 // removeBatch takes the candidates — in ascending position order, as
 // collected — out of segment k with a single compaction pass over the
-// slice and bit words, stashing each candidate's ready/store bits in
-// moveReady/moveStore for insertBatch.
+// slice, stashing each candidate's ready/store bits in moveReady/moveStore
+// for insertBatch. The candidates are off-segment until insertBatch
+// places them.
 func (q *SegmentedIQ) removeBatch(k int, cand []*entry) {
 	q.moveReady = q.moveReady[:0]
 	q.moveStore = q.moveStore[:0]
 	seg := q.segs[k]
 	rw, sw := q.readyW[k], q.storeW[k]
+	for _, e := range cand {
+		q.moveReady = append(q.moveReady, bitvec.Test(rw, int(e.pos)))
+		q.moveStore = append(q.moveStore, bitvec.Test(sw, int(e.pos)))
+		e.seg = -1
+	}
 	n := len(cand)
 	p := int(cand[0].pos)
 	if int(cand[n-1].pos) == p+n-1 {
 		// The candidates occupy a contiguous run (the usual promotion
 		// pattern: the n oldest, all eligible): one bulk copy shifts the
-		// tail, one pass fixes positions and bits.
-		for j := 0; j < n; j++ {
-			q.moveReady = append(q.moveReady, bitvec.Test(rw, p+j))
-			q.moveStore = append(q.moveStore, bitvec.Test(sw, p+j))
-		}
+		// tail, one word shift each moves its bits.
+		bitvec.RemoveRun(rw, p, n)
+		bitvec.RemoveRun(sw, p, n)
 		copy(seg[p:], seg[p+n:])
-		last := len(seg) - n
-		for j := p; j < last; j++ {
-			seg[j].pos = int32(j)
-			bitvec.Assign(rw, j, bitvec.Test(rw, j+n))
-			bitvec.Assign(sw, j, bitvec.Test(sw, j+n))
+	} else {
+		// Drop the bits highest first, so lower positions stay valid.
+		for i := n - 1; i >= 0; i-- {
+			bitvec.Remove(rw, int(cand[i].pos))
+			bitvec.Remove(sw, int(cand[i].pos))
 		}
-		for j := last; j < len(seg); j++ {
-			seg[j] = nil
-			bitvec.Clear(rw, j)
-			bitvec.Clear(sw, j)
+		ci, w := 0, p
+		for r := p; r < len(seg); r++ {
+			if ci < n && seg[r] == cand[ci] {
+				ci++
+				continue
+			}
+			seg[w] = seg[r]
+			w++
 		}
-		q.segs[k] = seg[:last]
-		return
 	}
-	ci := 0
-	w := p
-	for r := w; r < len(seg); r++ {
-		e := seg[r]
-		if ci < n && e == cand[ci] {
-			q.moveReady = append(q.moveReady, bitvec.Test(rw, r))
-			q.moveStore = append(q.moveStore, bitvec.Test(sw, r))
-			ci++
-			continue
-		}
-		seg[w] = e
-		e.pos = int32(w)
-		bitvec.Assign(rw, w, bitvec.Test(rw, r))
-		bitvec.Assign(sw, w, bitvec.Test(sw, r))
-		w++
+	last := len(seg) - n
+	for j := p; j < last; j++ {
+		seg[j].pos = int32(j)
 	}
-	for j := w; j < len(seg); j++ {
+	for j := last; j < len(seg); j++ {
 		seg[j] = nil
-		bitvec.Clear(rw, j)
-		bitvec.Clear(sw, j)
 	}
-	q.segs[k] = seg[:w]
+	q.segs[k] = seg[:last]
 }
 
 // insertBatch merges the candidates (seq-sorted, with their bits in
@@ -644,10 +663,12 @@ func (q *SegmentedIQ) insertBatch(dest int, cand []*entry) {
 	q.segs[dest] = seg
 }
 
-// removeFromSegment takes e out of segment k and stops tracking its
-// readiness: the entry is leaving the queue segments for good.
+// removeFromSegment takes e out of segment k, out of the member lists and
+// out of readiness tracking: the entry is leaving the queue segments for
+// good.
 func (q *SegmentedIQ) removeFromSegment(k int, e *entry) {
 	q.segRemove(k, e)
+	q.unlink(e)
 	q.sb.Untrack(e.id)
 }
 
@@ -771,10 +792,12 @@ func (q *SegmentedIQ) dispatchTarget() (int, bool) {
 	}
 }
 
-// refFrom derives a chain membership from a register-table row.
+// refFrom derives a chain membership from a register-table row. A
+// self-timed row's countdown — frozen value or running deadline — carries
+// over as is.
 func refFrom(re regEntry) chainRef {
 	if re.selfTimed {
-		return chainRef{ch: re.ch, delay: re.latency, selfTimed: true, suspended: re.suspended}
+		return chainRef{ch: re.ch, delay: re.latency, due: re.due, selfTimed: true, suspended: re.suspended}
 	}
 	// §3.3: delay is initialised to 2*S_H + D_H.
 	return chainRef{ch: re.ch, delay: 2*re.headLoc + re.latency, headLoc: re.headLoc}
@@ -807,7 +830,7 @@ func (q *SegmentedIQ) Dispatch(cycle int64, u *uop.UOp) bool {
 			continue
 		}
 		re := q.table.row(u.Thread, r)
-		if re.outstanding() {
+		if re.outstandingAt(q.ticks) {
 			outs = append(outs, srcOut{j: j, re: *re})
 		}
 	}
@@ -876,7 +899,7 @@ func (q *SegmentedIQ) Dispatch(cycle int64, u *uop.UOp) bool {
 	case outs[0].re.ch.real() && outs[0].re.ch == outs[1].re.ch:
 		// Both operands on the same chain: one membership, larger delay.
 		a, b := refFrom(outs[0].re), refFrom(outs[1].re)
-		if b.delay > a.delay {
+		if b.delayAt(q.ticks) > a.delayAt(q.ticks) {
 			a = b
 		}
 		e.refs[0] = a
@@ -893,36 +916,37 @@ func (q *SegmentedIQ) Dispatch(cycle int64, u *uop.UOp) bool {
 		if isLoad {
 			predLat = q.cfg.PredictedLoadLatency
 		}
-		de := q.table.row(u.Thread, u.Inst.Dest)
+		di := rowIndex(u.Thread, u.Inst.Dest)
 		switch {
 		case needHead:
-			*de = regEntry{valid: true, producer: u, ch: hd, latency: predLat, headLoc: target}
+			q.setRow(di, regEntry{valid: true, producer: u, ch: hd, latency: predLat, headLoc: target})
 		case e.nrefs > 0:
-			cr := e.refs[0]
-			if e.nrefs == 2 && e.refs[1].delay > cr.delay {
-				cr = e.refs[1]
+			cr := &e.refs[0]
+			if e.nrefs == 2 && e.refs[1].delayAt(q.ticks) > cr.delayAt(q.ticks) {
+				cr = &e.refs[1]
 			}
 			if cr.selfTimed {
-				*de = regEntry{valid: true, producer: u, ch: cr.ch,
-					latency: cr.delay + predLat, selfTimed: true, suspended: cr.suspended}
+				q.setRow(di, regEntry{valid: true, producer: u, ch: cr.ch,
+					latency: cr.delayAt(q.ticks) + predLat, selfTimed: true, suspended: cr.suspended})
 			} else {
 				// Latency relative to head issue: the controlling
 				// operand's latency-from-head plus this instruction's
 				// own latency.
-				*de = regEntry{valid: true, producer: u, ch: cr.ch,
-					latency: cr.delay - 2*cr.headLoc + predLat, headLoc: cr.headLoc}
+				q.setRow(di, regEntry{valid: true, producer: u, ch: cr.ch,
+					latency: cr.delay - 2*cr.headLoc + predLat, headLoc: cr.headLoc})
 			}
 		default:
 			// Fully predictable: expected to issue after draining ~one
 			// segment per cycle from its dispatch segment.
-			*de = regEntry{valid: true, producer: u, ch: chainNone,
-				latency: target + predLat, selfTimed: true}
+			q.setRow(di, regEntry{valid: true, producer: u, ch: chainNone,
+				latency: target + predLat, selfTimed: true})
 		}
 	}
 
 	u.DispatchCycle = cycle
 	u.IQ = e
 	q.segInsert(target, e, q.sb.Track(e.id, u, cycle), u.IsStore())
+	q.link(e)
 	q.catchUp(e, target)
 	q.total++
 	q.dispatchedThisCycle++
@@ -970,7 +994,7 @@ func (q *SegmentedIQ) NotifyLoadComplete(cycle int64, u *uop.UOp) {
 // released if this instruction is still its producer.
 func (q *SegmentedIQ) Writeback(cycle int64, u *uop.UOp) {
 	q.wakeConsumers(u)
-	q.table.clearProducer(u)
+	q.clearProducer(u)
 	e, ok := u.IQ.(*entry)
 	if !ok || e == nil {
 		return
@@ -1025,13 +1049,9 @@ func (q *SegmentedIQ) recover(cycle int64) {
 		if len(q.segs[k]) == 0 || len(q.segs[k-1]) >= q.cfg.SegSize {
 			continue
 		}
-		thr := threshold(k - 1)
 		// Prefer an eligible instruction; otherwise force the oldest.
-		moved := q.moveSelected(k, k-1, 1, cycle, false, func(e *entry) bool {
-			return e.effDelay() < thr
-		})
-		if moved == 0 {
-			q.moveSelected(k, k-1, 1, cycle, true, func(e *entry) bool { return true })
+		if q.moveSelected(k, k-1, 1, cycle, pickBelow) == 0 {
+			q.moveSelected(k, k-1, 1, cycle, pickAny)
 		}
 	}
 
@@ -1068,7 +1088,7 @@ func (q *SegmentedIQ) SegmentLen(k int) int { return len(q.segs[k]) }
 // and walkthrough use.
 func (q *SegmentedIQ) DelayOf(u *uop.UOp) int {
 	if e, ok := u.IQ.(*entry); ok && e != nil {
-		return e.effDelay()
+		return e.effDelay(q.ticks)
 	}
 	return -1
 }
@@ -1077,15 +1097,10 @@ func (q *SegmentedIQ) DelayOf(u *uop.UOp) int {
 // or -1 if it is not queued here.
 func (q *SegmentedIQ) SegmentOf(u *uop.UOp) int {
 	e, ok := u.IQ.(*entry)
-	if !ok || e == nil {
+	if !ok || e == nil || e.seg < 0 || q.segs[e.seg][e.pos] != e {
 		return -1
 	}
-	for _, x := range q.segs[e.seg] {
-		if x == e {
-			return e.seg
-		}
-	}
-	return -1
+	return e.seg
 }
 
 // ChainsInUse returns the number of currently allocated chains.

@@ -44,8 +44,9 @@ func TestChainGenerationIgnoresStaleSignals(t *testing.T) {
 		t.Fatalf("expected same wire, new generation: old %+v new %+v", oldChain, newChain)
 	}
 	member := addRaw(q, 2, 99, 0, 10)
-	member.refs[0] = chainRef{ch: newChain, delay: 8, headLoc: 0, selfTimed: true}
+	member.refs[0] = chainRef{ch: newChain, due: q.ticks + 8, headLoc: 0, selfTimed: true}
 	member.nrefs = 1
+	q.link(member)
 
 	// Step cycles so the old-generation signals pass segment 2.
 	for cycle := int64(2); cycle <= 6; cycle++ {
@@ -55,8 +56,8 @@ func TestChainGenerationIgnoresStaleSignals(t *testing.T) {
 		t.Fatal("stale suspend from the previous generation applied to new chain member")
 	}
 	// Five BeginCycles ticked the healthy self-timed countdown.
-	if member.refs[0].delay != 8-5 {
-		t.Fatalf("self-timed countdown disturbed: delay %d", member.refs[0].delay)
+	if member.refs[0].delayAt(q.ticks) != 8-5 {
+		t.Fatalf("self-timed countdown disturbed: delay %d", member.refs[0].delayAt(q.ticks))
 	}
 }
 
@@ -155,9 +156,9 @@ func TestSuspendedStateInheritedAtDispatch(t *testing.T) {
 	if !ce.refs[0].selfTimed || !ce.refs[0].suspended {
 		t.Fatalf("consumer should inherit self-timed+suspended: %+v", ce.refs[0])
 	}
-	d := ce.refs[0].delay
+	d := ce.refs[0].delayAt(q.ticks)
 	q.BeginCycle(6)
-	if ce.refs[0].delay != d {
+	if ce.refs[0].delayAt(q.ticks) != d {
 		t.Fatal("suspended consumer counted down")
 	}
 	ld.Complete = 30
@@ -186,8 +187,8 @@ func TestIssueAssertionReachesTableImmediately(t *testing.T) {
 		t.Fatal("table lagged the issue assertion")
 	}
 	// Delay = the load's remaining predicted latency.
-	if ce.refs[0].delay != 4 {
-		t.Fatalf("delay = %d, want predicted load latency 4", ce.refs[0].delay)
+	if ce.refs[0].delayAt(q.ticks) != 4 {
+		t.Fatalf("delay = %d, want predicted load latency 4", ce.refs[0].delayAt(q.ticks))
 	}
 }
 
@@ -205,6 +206,7 @@ func TestSignalCrossingCaughtUp(t *testing.T) {
 	m := addRaw(q, 3, 1, 0, -1)
 	m.refs[0] = chainRef{ch: ch, delay: 1, selfTimed: true, suspended: true}
 	m.nrefs = 1
+	q.link(m)
 
 	// Cycle 1: head issues; a resume is asserted at segment 0.
 	q.BeginCycle(1)
@@ -261,8 +263,8 @@ func TestTwoChainMemberControlledByLaterOperand(t *testing.T) {
 	}
 	// Manually decay one membership to zero: the other still controls.
 	je.refs[0].delay = 0
-	if got := je.effDelay(); got != je.refs[1].delay {
-		t.Fatalf("effective delay %d should follow the later operand %d", got, je.refs[1].delay)
+	if got := je.effDelay(q.ticks); got != je.refs[1].delayAt(q.ticks) {
+		t.Fatalf("effective delay %d should follow the later operand %d", got, je.refs[1].delayAt(q.ticks))
 	}
 }
 

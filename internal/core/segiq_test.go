@@ -47,6 +47,8 @@ func always(*uop.UOp) bool { return true }
 // addRaw plants an entry with a frozen delay value directly into a
 // segment — white-box scaffolding for promotion-machinery tests. The
 // chainless, non-self-timed reference neither decays nor hears signals.
+// A test that gives the entry chain memberships afterwards registers them
+// with q.link, as Dispatch does.
 func addRaw(q *SegmentedIQ, seg int, seq int64, delay int, arrived int64) *entry {
 	u := uop.New(seq, aluInst(isa.RegNone, isa.RegNone, 1))
 	e := q.newEntry(u, seg, arrived)
@@ -161,7 +163,7 @@ func TestDelayValueInitFormula(t *testing.T) {
 		t.Fatalf("consumer memberships = %d", e.nrefs)
 	}
 	// S_H = 3, D_H = predicted load latency 4: delay = 2*3 + 4 = 10.
-	if got := e.effDelay(); got != 10 {
+	if got := e.effDelay(q.ticks); got != 10 {
 		t.Fatalf("consumer delay = %d, want 10", got)
 	}
 	if e.refs[0].headLoc != 3 {
@@ -170,7 +172,7 @@ func TestDelayValueInitFormula(t *testing.T) {
 	// A second-level consumer adds the producer's own latency.
 	con2 := r.rename(aluInst(6, isa.RegNone, 7))
 	q.Dispatch(0, con2)
-	if got := con2.IQ.(*entry).effDelay(); got != 2*3+4+1 {
+	if got := con2.IQ.(*entry).effDelay(q.ticks); got != 2*3+4+1 {
 		t.Fatalf("transitive delay = %d, want 11", got)
 	}
 }
@@ -482,9 +484,11 @@ func TestChainWirePipelining(t *testing.T) {
 	m1 := addRaw(q, 1, 1, 0, 10) // arrived guard keeps them parked
 	m1.refs[0] = chainRef{ch: ch, delay: 6, headLoc: 0}
 	m1.nrefs = 1
+	q.link(m1)
 	m3 := addRaw(q, 3, 2, 0, 10)
 	m3.refs[0] = chainRef{ch: ch, delay: 10, headLoc: 0}
 	m3.nrefs = 1
+	q.link(m3)
 
 	// Cycle 1: head issues, asserting at segment 0.
 	q.BeginCycle(1)
@@ -526,6 +530,7 @@ func TestInstantWiresAblation(t *testing.T) {
 	m3 := addRaw(q, 3, 1, 0, 10)
 	m3.refs[0] = chainRef{ch: ch, delay: 10, headLoc: 0}
 	m3.nrefs = 1
+	q.link(m3)
 
 	q.BeginCycle(1)
 	q.Issue(1, 8, always)
@@ -553,7 +558,7 @@ func TestSuspendResumeOnLoadMiss(t *testing.T) {
 	if !ce.refs[0].selfTimed {
 		t.Fatal("consumer did not enter self-timed mode on head issue")
 	}
-	d0 := ce.refs[0].delay
+	d0 := ce.refs[0].delayAt(q.ticks)
 
 	// The load misses: suspend.
 	q.NotifyLoadMiss(4, ld)
@@ -562,7 +567,7 @@ func TestSuspendResumeOnLoadMiss(t *testing.T) {
 	}
 	q.BeginCycle(5)
 	q.BeginCycle(6)
-	if ce.refs[0].delay != d0 {
+	if ce.refs[0].delayAt(q.ticks) != d0 {
 		t.Fatal("suspended member kept counting")
 	}
 	// Data returns: resume; countdown continues.
@@ -573,7 +578,7 @@ func TestSuspendResumeOnLoadMiss(t *testing.T) {
 		t.Fatal("resume signal not delivered")
 	}
 	q.BeginCycle(51)
-	if ce.refs[0].delay != d0-1 {
+	if ce.refs[0].delayAt(q.ticks) != d0-1 {
 		t.Fatal("countdown did not resume")
 	}
 }

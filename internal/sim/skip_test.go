@@ -204,6 +204,13 @@ func requireSkipEquivalence(t *testing.T, rSkip, rStep *Result, eSkip, eStep *En
 	}
 }
 
+// instantWires turns on the segmented queue's unpipelined-wire ablation,
+// which delivers chain-wire signals through its own path.
+func instantWires(c Config) Config {
+	c.Segmented.InstantWires = true
+	return c
+}
+
 // TestSkipConformanceGolden runs every golden-test machine with and
 // without idle-cycle skipping: the statistics must be byte-identical and
 // the final machines equal field by field. The cases where skipping is
@@ -220,6 +227,8 @@ func TestSkipConformanceGolden(t *testing.T) {
 		{"ideal", DefaultConfig(QueueIdeal, 256), "gcc", true},
 		{"segmented", SegmentedConfig(256, 64, true, true), "swim", true},
 		{"segmented", SegmentedConfig(256, 64, true, true), "gcc", true},
+		{"segmented-instant-wires", instantWires(SegmentedConfig(256, 64, true, true)), "swim", true},
+		{"segmented-instant-wires", instantWires(SegmentedConfig(256, 64, true, true)), "gcc", true},
 		{"prescheduled", PrescheduledConfig(256), "swim", false},
 		{"prescheduled", PrescheduledConfig(256), "gcc", true},
 		{"fifos", FIFOConfig(256), "swim", true},
