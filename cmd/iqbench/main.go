@@ -31,15 +31,10 @@
 //	iqbench -experiment table2 -shard 1/2 -out s1.json
 //	iqbench -merge s0.json,s1.json -out merged.json # ≡ the single-process run
 //
-// Shards on different hosts can share warmups through a remote
-// checkpoint store (no shared filesystem needed):
-//
-//	iqbench -ckpt-serve :8377 -ckpt-dir .ckpt       # on one host
-//	iqbench -ckpt-url http://host:8377 -experiment table2 -shard 0/2 -out s0.json
-//
-// The store is strictly an accelerator: if the server is unreachable
-// or dies mid-sweep, shards warm locally and finish with identical
-// results.
+// Shards that see one directory share warmups by passing it as
+// -ckpt-dir. The cache is strictly an accelerator: if the directory is
+// unreadable or unwritable, shards warm locally and finish with
+// identical results.
 //
 // A coordinator replaces the static -shard split with leased jobs:
 // one host enumerates the grid, workers pull cost-ordered batches and
@@ -51,12 +46,13 @@
 //	iqbench -coord :8377 -experiment table2 -out merged.json   # on one host
 //	iqbench -worker -coord-url http://host:8377                # on each worker
 //
-// Add -ckpt-dir to the coordinator to also serve shared warmups to
-// the workers over the same address.
+// Workers keep their warmups in memory; -ckpt-dir is rejected with
+// -coord, -worker and -merge, none of which uses the checkpoint cache.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -85,8 +81,6 @@ func main() {
 		perfCompare    = flag.String("perf-compare", "", "measure simulator performance and compare against the BENCH json baseline at this path (warn-only), instead of running experiments; \"auto\" picks the highest-numbered BENCH_<n>.json in the current directory")
 		perfThresh     = flag.Float64("perf-threshold", 0.5, "tolerated fractional slowdown for -perf-compare (0.5 = 50%)")
 		ckptDir        = flag.String("ckpt-dir", "", "directory backing the warm-checkpoint cache: warmups found there are loaded instead of re-simulated, new ones are saved for later runs")
-		ckptURL        = flag.String("ckpt-url", "", "base URL of a remote checkpoint store (iqbench -ckpt-serve) shared by sweep shards on different hosts; overrides -ckpt-dir, degrades to local warmups if unreachable")
-		ckptServe      = flag.String("ckpt-serve", "", "serve the -ckpt-dir checkpoint store over HTTP at this address (e.g. :8377) instead of running experiments")
 		noSkip         = flag.Bool("no-skip", false, "step every simulated cycle instead of skipping provably idle spans; results are bit-identical either way (this flag exists for cross-checking and for before/after perf comparisons)")
 		noPrefix       = flag.Bool("no-prefix-share", false, "fork every sweep point from its warm checkpoint instead of sharing the detailed prefix of each sweep family's most permissive member; results are bit-identical either way (this flag exists for cross-checking and for before/after perf comparisons)")
 		prescreen      = flag.Bool("prescreen", false, "run a pre-screened mega-grid sweep: score every grid point with the analytic IPC model, simulate only the predicted IPC-per-entry Pareto frontier plus a seeded audit sample, and report the estimator's audit error; -out writes the simulated points as a shard JSON")
@@ -94,7 +88,7 @@ func main() {
 		prescreenAudit = flag.Int("prescreen-audit", 24, "seeded-random grid points simulated per workload regardless of the frontier prediction, to measure estimator error")
 		prescreenSlack = flag.Float64("prescreen-slack", 0.05, "frontier safety margin: points predicted within this fraction of their entries-group's best are simulated too")
 		prescreenCheck = flag.Float64("prescreen-check", 0, "exit non-zero when the pooled audit rank correlation falls below this threshold (0 = report only); the screening contract is 0.8")
-		coordServe     = flag.String("coord", "", "serve a sweep coordinator at this address (e.g. :8377): enumerate the -experiment grid, lease jobs to -worker processes, accumulate their fragments, and write the merged JSON to -out when the grid completes; add -ckpt-dir to also serve shared warmups under /ckpt/")
+		coordServe     = flag.String("coord", "", "serve a sweep coordinator at this address (e.g. :8377): enumerate the -experiment grid, lease jobs to -worker processes, accumulate their fragments, and write the merged JSON to -out when the grid completes")
 		coordSpool     = flag.String("coord-spool", ".coord-spool", "directory where the coordinator durably spools completed fragments; a restarted coordinator over the same spool resumes without re-simulating finished jobs")
 		coordLease     = flag.Duration("coord-lease", coord.DefaultLeaseTTL, "lease TTL for coordinator jobs; a worker that stops renewing for this long has its jobs re-queued")
 		workerMode     = flag.Bool("worker", false, "run as a sweep worker: pull leased jobs from the -coord-url coordinator, simulate them, upload results, exit when the grid is done")
@@ -106,17 +100,9 @@ func main() {
 	)
 	flag.Parse()
 
-	if *ckptServe != "" {
-		if *ckptDir == "" {
-			fmt.Fprintln(os.Stderr, "iqbench: -ckpt-serve requires -ckpt-dir (the directory to serve)")
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "[ckpt-serve: listening on %s, store %s]\n", *ckptServe, *ckptDir)
-		if err := http.ListenAndServe(*ckptServe, sim.NewStoreHandler(*ckptDir)); err != nil {
-			fmt.Fprintf(os.Stderr, "iqbench: ckpt-serve: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if err := checkCkptDir(*ckptDir, *coordServe != "", *workerMode, *mergeList != ""); err != nil {
+		fmt.Fprintf(os.Stderr, "iqbench: %v\n", err)
+		os.Exit(2)
 	}
 
 	if *perfJSON != "" || *perfCompare != "" {
@@ -197,10 +183,7 @@ func main() {
 	if *benches != "" {
 		o.Benchmarks = strings.Split(*benches, ",")
 	}
-	if *ckptURL != "" {
-		o.CheckpointURL = *ckptURL
-		o.CkptStats = &experiments.CkptStats{}
-	} else if *ckptDir != "" {
+	if *ckptDir != "" {
 		o.CheckpointDir = *ckptDir
 		o.CkptStats = &experiments.CkptStats{}
 	}
@@ -210,12 +193,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "iqbench: -worker requires -coord-url (the coordinator to pull jobs from)")
 			os.Exit(2)
 		}
-		stats := &sim.StoreStats{}
 		w := &coord.Worker{
 			URL:       *coordURL,
 			BatchSize: *coordBatch,
 			Parallel:  *par,
-			Stats:     stats,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
 			},
@@ -224,14 +205,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "iqbench: worker: %v\n", err)
 			os.Exit(1)
 		}
-		if len(stats.Values()) > 0 {
-			fmt.Fprintf(os.Stderr, "[ckpt-cache: %s]\n", stats)
-		}
 		return
 	}
 
 	if *coordServe != "" {
-		if err := serveCoordinator(*coordServe, *exp, o, *coordSpool, *coordLease, *ckptDir, *out); err != nil {
+		if err := serveCoordinator(*coordServe, *exp, o, *coordSpool, *coordLease, *out); err != nil {
 			fmt.Fprintf(os.Stderr, "iqbench: coord: %v\n", err)
 			os.Exit(1)
 		}
@@ -326,13 +304,24 @@ func parseShard(s string) (i, n int, err error) {
 	return i, n, nil
 }
 
+// checkCkptDir rejects -ckpt-dir in the modes that never use the
+// checkpoint cache: the coordinator only hands out jobs, workers keep
+// their warmups in memory, and a merge only reads shard files. Silently
+// ignoring the flag there would let a user believe warmups are cached.
+func checkCkptDir(ckptDir string, coordMode, workerMode, mergeMode bool) error {
+	if ckptDir == "" || !(coordMode || workerMode || mergeMode) {
+		return nil
+	}
+	return errors.New("-ckpt-dir has no effect with -coord, -worker or -merge: none of them uses the checkpoint cache")
+}
+
 // serveCoordinator runs the -coord mode: enumerate the experiment's
 // grid, serve leases until every job has a result, then write the
 // merged file (byte-identical to a single-process -shard 0/1 run) and
 // exit. Completed fragments are spooled under spoolDir before they are
 // acknowledged, so restarting the coordinator over the same spool
 // resumes without losing or re-simulating finished work.
-func serveCoordinator(addr, experiment string, o experiments.Options, spoolDir string, leaseTTL time.Duration, ckptDir, outPath string) error {
+func serveCoordinator(addr, experiment string, o experiments.Options, spoolDir string, leaseTTL time.Duration, outPath string) error {
 	if experiment == "" || experiment == "all" {
 		return fmt.Errorf("-coord needs a single -experiment (the grid to distribute)")
 	}
@@ -347,7 +336,6 @@ func serveCoordinator(addr, experiment string, o experiments.Options, spoolDir s
 		SpoolDir:   spoolDir,
 		LeaseTTL:   leaseTTL,
 		Costs:      costs,
-		CkptDir:    ckptDir,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

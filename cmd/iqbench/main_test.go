@@ -33,3 +33,27 @@ func TestParseShard(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckCkptDir(t *testing.T) {
+	cases := []struct {
+		dir                  string
+		coord, worker, merge bool
+		ok                   bool
+	}{
+		{"", false, false, false, true},
+		{".ckpt", false, false, false, true}, // direct run, -shard, -prescreen
+		{"", true, false, false, true},
+		{"", false, true, false, true},
+		{"", false, false, true, true},
+		{".ckpt", true, false, false, false},
+		{".ckpt", false, true, false, false},
+		{".ckpt", false, false, true, false},
+	}
+	for _, c := range cases {
+		err := checkCkptDir(c.dir, c.coord, c.worker, c.merge)
+		if (err == nil) != c.ok {
+			t.Errorf("checkCkptDir(%q, coord=%v, worker=%v, merge=%v): err = %v, want ok=%v",
+				c.dir, c.coord, c.worker, c.merge, err, c.ok)
+		}
+	}
+}

@@ -91,6 +91,16 @@ func TestPredictorConfigValidation(t *testing.T) {
 		{GlobalHistBits: 13, LocalHistBits: 11, LocalEntries: 1000, ChoiceHistBits: 13},
 		{GlobalHistBits: 13, LocalHistBits: 11, LocalEntries: 2048, ChoiceHistBits: 0},
 	}
+	// Counter widths outside [1, 31] are an error, not a NewSatCounter panic.
+	for _, set := range []func(*Config){
+		func(c *Config) { c.LocalCtrBits = 0 },
+		func(c *Config) { c.GlobalCtrBits = 32 },
+		func(c *Config) { c.ChoiceCtrBits = -1 },
+	} {
+		cfg := DefaultConfig()
+		set(&cfg)
+		bad = append(bad, cfg)
+	}
 	for i, cfg := range bad {
 		if _, err := NewPredictor(cfg); err == nil {
 			t.Errorf("config %d should be rejected", i)

@@ -42,6 +42,11 @@ func (c Config) validate() error {
 	if c.LocalEntries <= 0 || c.LocalEntries&(c.LocalEntries-1) != 0 {
 		return fmt.Errorf("bpred: local entries %d must be a positive power of two", c.LocalEntries)
 	}
+	for _, w := range []int{c.LocalCtrBits, c.GlobalCtrBits, c.ChoiceCtrBits} {
+		if w < 1 || w > 31 {
+			return fmt.Errorf("bpred: counter width %d out of range", w)
+		}
+	}
 	return nil
 }
 

@@ -9,18 +9,10 @@ import (
 // Checkpoint serialization: the branch structures are the bulk of a warmed
 // machine's trained state, so they encode their full table contents — the
 // same state Clone deep-copies. Each section is self-describing (the
-// predictor writes its own Config, the BTB its geometry) and validated on
-// decode, so a file whose branch-structure geometry drifted from its
-// header is rejected here rather than producing a silently mistrained
-// machine.
-
-// Config returns the configuration the predictor was built with, so a
-// checkpoint loader can verify a decoded predictor against the machine
-// configuration it is being wired into.
-func (p *Predictor) Config() Config { return p.cfg }
-
-// Geometry returns the BTB's total entry count and associativity.
-func (b *BTB) Geometry() (entries, ways int) { return b.sets * b.ways, b.ways }
+// predictor writes its own Config, the BTB its geometry) and checked on
+// decode against the machine being restored, so a file whose
+// branch-structure geometry drifted from its header is rejected here
+// rather than producing a silently mistrained machine.
 
 // EncodeTo writes the predictor's configuration, tables and statistics.
 func (p *Predictor) EncodeTo(w *codec.Writer) {
@@ -50,8 +42,11 @@ func (p *Predictor) EncodeTo(w *codec.Writer) {
 	w.U64(p.localUsed)
 }
 
-// DecodePredictor reads a predictor written by EncodeTo.
-func DecodePredictor(r *codec.Reader) (*Predictor, error) {
+// DecodePredictor reads a predictor written by EncodeTo. The encoded
+// configuration must equal want, the configuration of the machine being
+// restored; it is checked before any table is allocated, so a corrupt
+// size field cannot cost a huge allocation.
+func DecodePredictor(r *codec.Reader, want Config) (*Predictor, error) {
 	cfg := Config{
 		GlobalHistBits: r.Int(),
 		LocalHistBits:  r.Int(),
@@ -64,31 +59,39 @@ func DecodePredictor(r *codec.Reader) (*Predictor, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if cfg.LocalEntries > 1<<24 {
-		return nil, fmt.Errorf("bpred: decoded local-entry count %d implausibly large", cfg.LocalEntries)
+	if cfg != want {
+		return nil, fmt.Errorf("bpred: decoded predictor geometry %+v does not match the machine's %+v", cfg, want)
 	}
 	p, err := NewPredictor(cfg)
 	if err != nil {
 		return nil, err
 	}
 	p.globalHist = r.U32()
-	for i := range p.globalPHT {
-		p.globalPHT[i].Set(r.U32())
-	}
+	decodeCounters(r, p.globalPHT)
 	for i := range p.localHist {
 		p.localHist[i] = r.U32()
 	}
-	for i := range p.localPHT {
-		p.localPHT[i].Set(r.U32())
-	}
-	for i := range p.choicePHT {
-		p.choicePHT[i].Set(r.U32())
-	}
+	decodeCounters(r, p.localPHT)
+	decodeCounters(r, p.choicePHT)
 	p.lookups = r.U64()
 	p.correct = r.U64()
 	p.globalUsed = r.U64()
 	p.localUsed = r.U64()
 	return p, r.Err()
+}
+
+// decodeCounters reads one table of counter values. A value above the
+// counter's saturation point is corruption: Set would clamp it, so the
+// file would load as a machine it does not encode.
+func decodeCounters(r *codec.Reader, cs []SatCounter) {
+	for i := range cs {
+		v := r.U32()
+		if v > cs[i].Max() {
+			r.Fail("bpred: decoded counter value %d exceeds its maximum %d", v, cs[i].Max())
+			return
+		}
+		cs[i].Set(v)
+	}
 }
 
 // EncodeTo writes the BTB's geometry, entries and statistics.
@@ -107,14 +110,17 @@ func (b *BTB) EncodeTo(w *codec.Writer) {
 	w.U64(b.stamp)
 }
 
-// DecodeBTB reads a BTB written by EncodeTo.
-func DecodeBTB(r *codec.Reader) (*BTB, error) {
+// DecodeBTB reads a BTB written by EncodeTo. The encoded geometry must
+// equal the machine's (wantEntries, wantWays), checked before the entry
+// array is allocated.
+func DecodeBTB(r *codec.Reader, wantEntries, wantWays int) (*BTB, error) {
 	entries, ways := r.Int(), r.Int()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if entries < 0 || entries > 1<<24 {
-		return nil, fmt.Errorf("bpred: decoded BTB entry count %d implausibly large", entries)
+	if entries != wantEntries || ways != wantWays {
+		return nil, fmt.Errorf("bpred: decoded BTB geometry %d/%d does not match the machine's %d/%d",
+			entries, ways, wantEntries, wantWays)
 	}
 	b, err := NewBTB(entries, ways)
 	if err != nil {

@@ -135,8 +135,15 @@ func (r *Reader) U8() uint8 {
 	return r.buf[0]
 }
 
-// Bool reads a boolean.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
+// Bool reads a boolean. Writer emits only 0 and 1, so any other byte is
+// corruption.
+func (r *Reader) Bool() bool {
+	v := r.U8()
+	if v > 1 {
+		r.Fail("codec: bool byte %d is neither 0 nor 1", v)
+	}
+	return v == 1
+}
 
 // U32 reads a 32-bit value.
 func (r *Reader) U32() uint32 {

@@ -1,5 +1,5 @@
-// Package coord turns the checkpoint-serving host into a distributed
-// sweep coordinator: one server enumerates an experiment's grid once,
+// Package coord is the distributed sweep coordinator: one server
+// enumerates an experiment's grid once,
 // workers pull job keys under time-bounded leases, simulate them, and
 // upload result fragments the server accumulates into the exact file a
 // single-process RunShard(0,1) run would have written.
@@ -45,15 +45,13 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/perf"
-	"repro/internal/sim"
 )
 
 // DefaultLeaseTTL bounds how long a worker may sit on a leased job
 // without renewing before the job is re-queued.
 const DefaultLeaseTTL = 60 * time.Second
 
-// maxFragmentBytes bounds one uploaded fragment (mirrors the
-// checkpoint server's PUT bound).
+// maxFragmentBytes bounds one uploaded fragment.
 const maxFragmentBytes = 1 << 30
 
 // Config describes the sweep a coordinator serves.
@@ -75,10 +73,6 @@ type Config struct {
 	// Costs prices grid points for assignment order; nil falls back to
 	// the instruction-count heuristic (perf's nil-model behaviour).
 	Costs *perf.CostModel
-	// CkptDir, when set, additionally serves the PR 5 checkpoint-store
-	// protocol under /ckpt/ from this directory, so workers can share
-	// warmups through the coordinator itself.
-	CkptDir string
 	// Now is the clock, swappable by tests; nil means time.Now.
 	Now func() time.Time
 	// Logf receives progress lines (leases, expiries, completions);
@@ -96,9 +90,6 @@ type Spec struct {
 	Seed         uint64
 	Benchmarks   []string `json:",omitempty"`
 	LeaseTTLMs   int64
-	// SharedStore reports that the coordinator also serves a checkpoint
-	// store under /ckpt/, so workers can share warmups through it.
-	SharedStore bool `json:",omitempty"`
 }
 
 // LeaseRequest asks for up to Max jobs on behalf of Worker.
@@ -216,7 +207,6 @@ func NewServer(cfg Config) (*Server, error) {
 			Seed:         cfg.Options.Seed,
 			Benchmarks:   cfg.Options.Benchmarks,
 			LeaseTTLMs:   cfg.LeaseTTL.Milliseconds(),
-			SharedStore:  cfg.CkptDir != "",
 		},
 		rank:     make(map[string]int, len(jobs)),
 		workload: make(map[string]string, len(jobs)),
@@ -444,9 +434,7 @@ func (s *Server) touchWorkerLocked(name string, now time.Time) *workerState {
 	return w
 }
 
-// Handler returns the coordinator's HTTP mux. When Config.CkptDir is
-// set, the checkpoint-store protocol is mounted under /ckpt/ as well,
-// so one address serves both job leases and shared warmups.
+// Handler returns the coordinator's HTTP mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -458,9 +446,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/jobs/complete", s.handleComplete)
 	mux.HandleFunc("/progress", s.handleProgress)
 	mux.HandleFunc("/merged", s.handleMerged)
-	if s.cfg.CkptDir != "" {
-		mux.Handle("/ckpt/", sim.NewStoreHandler(s.cfg.CkptDir))
-	}
 	return mux
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/sim"
 )
 
 // Worker is the pull loop behind `iqbench -worker -coord-url`: fetch
@@ -20,7 +19,8 @@ import (
 // the grid is done. A heartbeat goroutine renews the current lease
 // while a batch simulates, so a slow batch is not mistaken for a dead
 // worker; a worker that really dies simply stops renewing and its
-// jobs re-queue at the coordinator after the lease TTL.
+// jobs re-queue at the coordinator after the lease TTL. Each worker
+// warms its own checkpoints in memory.
 type Worker struct {
 	// URL is the coordinator's base URL, e.g. "http://host:8377".
 	URL string
@@ -34,12 +34,6 @@ type Worker struct {
 	// Parallel bounds concurrent simulations within a batch (0 =
 	// GOMAXPROCS).
 	Parallel int
-	// ShareWarmups forces the warm-checkpoint cache through the
-	// coordinator's /ckpt/ store even when the spec does not advertise
-	// one; normally workers enable it automatically when the
-	// coordinator reports SharedStore, so warmups are shared exactly
-	// like -ckpt-url shards.
-	ShareWarmups bool
 	// Client performs the requests; nil uses a 5-minute-timeout client
 	// (a fragment upload can be large).
 	Client *http.Client
@@ -48,10 +42,6 @@ type Worker struct {
 	Poll time.Duration
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
-
-	// Stats, when non-nil, counts this worker's checkpoint-store
-	// activity (only used with ShareWarmups).
-	Stats *sim.StoreStats
 }
 
 func (w *Worker) client() *http.Client {
@@ -100,10 +90,6 @@ func (w *Worker) Run() error {
 		Seed:         spec.Seed,
 		Benchmarks:   spec.Benchmarks,
 		Parallel:     w.Parallel,
-	}
-	if w.ShareWarmups || spec.SharedStore {
-		o.CheckpointURL = strings.TrimRight(w.URL, "/")
-		o.CkptStats = w.Stats
 	}
 	ttl := time.Duration(spec.LeaseTTLMs) * time.Millisecond
 	name := w.name()

@@ -40,16 +40,11 @@ type Options struct {
 	// CheckpointDir, when set, backs the warm-checkpoint cache with a
 	// directory (sim.DirStore): a warmup found on disk is loaded
 	// instead of re-simulated, and a warmup built here is saved for the
-	// next process. Empty keeps checkpoints in-memory only.
+	// next process. Empty keeps checkpoints in-memory only. The store
+	// is strictly an accelerator: an unreadable or unwritable directory
+	// degrades to local warmups (counted in CkptStats) and never fails
+	// the batch.
 	CheckpointDir string
-	// CheckpointURL, when set, backs the warm-checkpoint cache with a
-	// remote HTTP store (`iqbench -ckpt-serve`; sim.HTTPStore), so
-	// shards on different hosts share warmups without a shared
-	// filesystem. Takes precedence over CheckpointDir. The store is
-	// strictly an accelerator: an unreachable or failing server
-	// degrades to local warmups (counted in CkptStats.Fallbacks) and
-	// never fails the batch.
-	CheckpointURL string
 	// CkptStats, when non-nil, counts checkpoint-store activity.
 	CkptStats *CkptStats
 	// NoSkip steps every machine cycle instead of skipping provably idle
@@ -71,24 +66,16 @@ type Options struct {
 }
 
 // CkptStats counts checkpoint-store activity across a batch: hits,
-// misses, put failures, remote retries, fallbacks, bytes moved.
+// misses, put failures, fallbacks, bytes moved.
 type CkptStats = sim.StoreStats
 
-// storeClient resolves the configured checkpoint store, or nil when
-// the batch keeps checkpoints in memory only.
-func (o Options) storeClient() *sim.StoreClient {
-	var st sim.CheckpointStore
-	switch {
-	case o.CheckpointURL != "":
-		h := sim.NewHTTPStore(o.CheckpointURL)
-		h.Stats = o.CkptStats
-		st = h
-	case o.CheckpointDir != "":
-		st = &sim.DirStore{Dir: o.CheckpointDir}
-	default:
+// store returns the batch's checkpoint store, or nil when the batch
+// keeps checkpoints in memory only.
+func (o Options) store() *sim.DirStore {
+	if o.CheckpointDir == "" {
 		return nil
 	}
-	return &sim.StoreClient{Store: st, Stats: o.CkptStats}
+	return &sim.DirStore{Dir: o.CheckpointDir, Stats: o.CkptStats}
 }
 
 // DefaultOptions returns the harness defaults.
@@ -169,9 +156,9 @@ type ckKey struct {
 type ckCache struct {
 	o Options
 	// st is the cross-process checkpoint store, nil for in-memory-only
-	// batches. One client per batch, so store-failure warnings print
-	// once and a degraded remote store fails fast for the whole sweep.
-	st *sim.StoreClient
+	// batches. One store per batch, so store-failure warnings print
+	// once for the whole sweep.
+	st *sim.DirStore
 	mu sync.Mutex
 	m  map[ckKey]*ckEntry
 }
@@ -223,7 +210,7 @@ func (c *ckCache) get(j job) (*sim.Checkpoint, error) {
 			e.ck, e.err = sim.NewCheckpoint(j.cfg, specs...)
 			return
 		}
-		// Hit/miss/fallback accounting lives in the StoreClient; store
+		// Hit/miss/fallback accounting lives in the DirStore; store
 		// failures never surface here — LoadOrNew degrades to a local
 		// warmup instead, so a broken store cannot kill the batch.
 		e.ck, _, e.err = c.st.LoadOrNew(j.cfg, specs...)
@@ -339,7 +326,7 @@ func (o Options) runAll(jobs []job) (map[string]*sim.Result, error) {
 	if err := o.validateBenchmarks(); err != nil {
 		return nil, err
 	}
-	cks := &ckCache{o: o, st: o.storeClient(), m: make(map[ckKey]*ckEntry)}
+	cks := &ckCache{o: o, st: o.store(), m: make(map[ckKey]*ckEntry)}
 	cks.retain(jobs)
 	return o.runFamiliesWith(cks.families(jobs), func(f family) ([]*sim.Result, error) {
 		return cks.runFamily(f, o.Instructions)

@@ -316,7 +316,7 @@ func sweepPrefix(noSkip bool, ps *sim.PrefixStats) (insts, cycles int64, err err
 // LoadOrNew either warms and saves (fresh dir) or loads the saved warmup
 // (populated dir), then forks per point exactly like sweepForked.
 func sweepStore(dir string, noSkip bool) (insts, cycles int64, hit bool, err error) {
-	st := &sim.StoreClient{Store: &sim.DirStore{Dir: dir}}
+	st := &sim.DirStore{Dir: dir}
 	ck, hit, err := st.LoadOrNew(sim.DefaultConfig(sim.QueueIdeal, 512),
 		sim.ContextSpec{Workload: sweepWorkload, Seed: 1, Warm: sweepWarm})
 	if err != nil {

@@ -14,35 +14,12 @@ import (
 )
 
 // The warm-checkpoint cache pays warmup once ever per (context set,
-// geometry) rather than once per process: a sweep asks
-// the store before simulating a warmup, and uploads the result after.
-// The store is strictly an accelerator — every store failure degrades
+// geometry) rather than once per process: a sweep looks for a stored
+// checkpoint before simulating a warmup, and saves the result after.
+// The cache is strictly an accelerator — every cache failure degrades
 // to a local in-process warmup, so a sweep backed by a broken,
-// unreachable, or read-only store produces bit-identical results to a
-// store-less run, just slower.
-
-// CheckpointStore is a keyed blob store backing the warm-checkpoint
-// cache. Keys come from CheckpointKey and satisfy ValidStoreKey.
-// Implementations must make Put atomic with respect to concurrent
-// readers and writers of the same key: a Get never observes a torn
-// blob, and concurrent writers race benignly (last write wins; both
-// blobs are identical by construction, since the key pins everything
-// the checkpoint depends on).
-type CheckpointStore interface {
-	// Get returns the blob stored under key, or ErrNotFound.
-	Get(key string) ([]byte, error)
-	// Put stores data under key, replacing any previous blob.
-	Put(key string, data []byte) error
-}
-
-// ErrNotFound reports a key with no blob in the store — the one Get
-// error that means "miss" rather than "store trouble".
-var ErrNotFound = errors.New("sim: checkpoint not in store")
-
-// ErrStoreUnavailable marks a store that has exhausted its retry
-// budget and latched itself off; further calls fail fast so a sweep
-// pays the outage once, not once per grid point.
-var ErrStoreUnavailable = errors.New("sim: checkpoint store unavailable")
+// unreadable, or read-only directory produces bit-identical results to
+// a cache-less run, just slower.
 
 // CheckpointKey names one checkpoint in a store: the sanitized join of
 // the ordered context set, then the geometry fingerprint —
@@ -97,9 +74,9 @@ func plainKeyByte(c byte) bool {
 }
 
 // ValidStoreKey reports whether key is a well-formed store key: the
-// byte alphabet CheckpointKey emits, no path separators, no "..". The
-// HTTP server rejects anything else before touching its directory, and
-// DirStore double-checks, so a hostile key can never escape the store.
+// byte alphabet CheckpointKey emits, no path separators, no "..".
+// DirStore checks every key before touching its directory, so a hostile
+// key can never escape the store.
 func ValidStoreKey(key string) bool {
 	if key == "" || len(key) > 255 || strings.Contains(key, "..") {
 		return false
@@ -113,95 +90,30 @@ func ValidStoreKey(key string) bool {
 	return true
 }
 
-// DirStore backs the checkpoint cache with a directory (the `-ckpt-dir`
-// flag), created on first Put. Writes go through a temp file and
-// rename, so a crashed or concurrent writer never leaves a torn blob
-// under the final name.
-type DirStore struct {
-	// Dir is the backing directory.
-	Dir string
-}
-
-// Path returns the backing file for one store key.
-func (st *DirStore) Path(key string) string { return filepath.Join(st.Dir, key) }
-
-func (st *DirStore) pathOf(key string) (string, error) {
-	if !ValidStoreKey(key) {
-		return "", fmt.Errorf("sim: invalid checkpoint store key %q", key)
-	}
-	return st.Path(key), nil
-}
-
-// Get implements CheckpointStore.
-func (st *DirStore) Get(key string) ([]byte, error) {
-	path, err := st.pathOf(key)
-	if err != nil {
-		return nil, err
-	}
-	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) || errors.Is(err, syscall.ENOTDIR) {
-		// ENOTDIR: a path component of Dir is a regular file. The blob
-		// certainly is not there — report a miss and let Put (which will
-		// fail loudly) decide whether the store is usable at all.
-		return nil, ErrNotFound
-	}
-	return b, err
-}
-
-// Put implements CheckpointStore with temp+rename atomicity.
-func (st *DirStore) Put(key string, data []byte) error {
-	path, err := st.pathOf(key)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(st.Dir, 0o777); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(st.Dir, key+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// StoreStats counts checkpoint-store activity across a batch. All
+// StoreStats counts checkpoint-cache activity across a batch. All
 // fields are safe for concurrent update; a nil *StoreStats disables
 // counting wherever one is accepted.
 type StoreStats struct {
 	// Hits counts warmups skipped by loading a stored checkpoint.
 	Hits atomic.Int64
 	// Misses counts warmups simulated because the store had no blob
-	// (the result is then uploaded).
+	// (the result is then saved).
 	Misses atomic.Int64
-	// PutFailures counts checkpoints built but not saved (read-only
-	// directory, dead server). Never fatal: the build is used anyway.
+	// PutFailures counts checkpoints built but not saved (read-only or
+	// full directory). Never fatal: the build is used anyway.
 	PutFailures atomic.Int64
-	// GetRetries counts remote Get attempts beyond the first, i.e.
-	// transient connection errors and 5xx responses survived.
-	GetRetries atomic.Int64
-	// Recoveries counts degraded latches reset by a successful
-	// half-open probe (the store came back mid-sweep).
-	Recoveries atomic.Int64
-	// Fallbacks counts warmups simulated locally because the store was
-	// unreachable or failing (as opposed to a clean miss).
+	// Fallbacks counts warmups simulated locally because reading the
+	// store failed (as opposed to a clean miss).
 	Fallbacks atomic.Int64
-	// BytesRead / BytesWritten total the blob bytes transferred on
-	// store hits and uploads.
+	// BytesRead / BytesWritten total the blob bytes moved on store hits
+	// and saves.
 	BytesRead    atomic.Int64
 	BytesWritten atomic.Int64
 }
 
 // String renders the counters for the `[ckpt-cache: ...]` line; the
 // failure-path counters appear only when nonzero, so the healthy-store
-// line stays as short as before.
+// line stays short.
 func (s *StoreStats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "hits=%d misses=%d", s.Hits.Load(), s.Misses.Load())
@@ -210,12 +122,6 @@ func (s *StoreStats) String() string {
 	}
 	if v := s.PutFailures.Load(); v != 0 {
 		fmt.Fprintf(&b, " put-failures=%d", v)
-	}
-	if v := s.GetRetries.Load(); v != 0 {
-		fmt.Fprintf(&b, " get-retries=%d", v)
-	}
-	if v := s.Recoveries.Load(); v != 0 {
-		fmt.Fprintf(&b, " recoveries=%d", v)
 	}
 	if v := s.BytesRead.Load(); v != 0 {
 		fmt.Fprintf(&b, " bytes-read=%d", v)
@@ -238,112 +144,162 @@ func (s *StoreStats) Values() map[string]int64 {
 	add("hits", s.Hits.Load())
 	add("misses", s.Misses.Load())
 	add("put_failures", s.PutFailures.Load())
-	add("get_retries", s.GetRetries.Load())
-	add("recoveries", s.Recoveries.Load())
 	add("fallbacks", s.Fallbacks.Load())
 	add("bytes_read", s.BytesRead.Load())
 	add("bytes_written", s.BytesWritten.Load())
 	return m
 }
 
-// discardStats absorbs counts when a client has no Stats attached.
+// discardStats absorbs counts when a store has no Stats attached.
 var discardStats StoreStats
 
-// StoreClient drives one CheckpointStore for a sweep: load-or-build
-// semantics, key construction, validation of loaded blobs, counters,
-// and — the contract the whole design hangs on — graceful degradation.
-// No store failure is ever returned to the caller: a failing Get falls
-// back to a local warmup, a failing Put is logged and counted but the
-// freshly built (perfectly good) checkpoint is returned anyway. The
-// only errors LoadOrNew can return are the simulator's own.
-type StoreClient struct {
-	// Store is the backing blob store.
-	Store CheckpointStore
+// DirStore is the warm-checkpoint cache: a directory of checkpoint
+// files (the `-ckpt-dir` flag), one per CheckpointKey, created on first
+// save. LoadOrNew gives it load-or-build semantics, and the design
+// hangs on one contract: no store failure is ever returned to the
+// caller. A failing read falls back to a local warmup, a failing write
+// is warned about and counted but the freshly built (perfectly good)
+// checkpoint is returned anyway. Writes go through a temp file and
+// rename, so a crashed or concurrent writer never leaves a torn file
+// under the final name; concurrent writers of one key race benignly
+// (last rename wins, and both files are identical by construction,
+// since the key pins everything the checkpoint depends on).
+type DirStore struct {
+	// Dir is the backing directory.
+	Dir string
 	// Stats, when non-nil, receives hit/miss/failure counts.
 	Stats *StoreStats
 
 	// warnGet / warnPut gate the degradation warnings to one line per
-	// client per direction, so a dead store does not spam a 10k-point
-	// sweep's stderr.
+	// store per direction, so a broken directory does not spam a
+	// 10k-point sweep's stderr.
 	warnGet sync.Once
 	warnPut sync.Once
 }
 
-func (sc *StoreClient) stats() *StoreStats {
-	if sc.Stats != nil {
-		return sc.Stats
+// Path returns the backing file for one store key.
+func (st *DirStore) Path(key string) string { return filepath.Join(st.Dir, key) }
+
+func (st *DirStore) pathOf(key string) (string, error) {
+	if !ValidStoreKey(key) {
+		return "", fmt.Errorf("sim: invalid checkpoint store key %q", key)
+	}
+	return st.Path(key), nil
+}
+
+func (st *DirStore) stats() *StoreStats {
+	if st.Stats != nil {
+		return st.Stats
 	}
 	return &discardStats
 }
 
+// get returns the blob stored under key; found is false, with a nil
+// error, on a clean miss.
+func (st *DirStore) get(key string) (data []byte, found bool, err error) {
+	path, err := st.pathOf(key)
+	if err != nil {
+		return nil, false, err
+	}
+	data, err = os.ReadFile(path)
+	if os.IsNotExist(err) || errors.Is(err, syscall.ENOTDIR) {
+		// ENOTDIR: a path component of Dir is a regular file. The blob
+		// certainly is not there — report a miss and let put (which will
+		// fail loudly) decide whether the store is usable at all.
+		return nil, false, nil
+	}
+	return data, err == nil, err
+}
+
+// put stores data under key with temp+rename atomicity.
+func (st *DirStore) put(key string, data []byte) error {
+	path, err := st.pathOf(key)
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(st.Dir, 0o777); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(st.Dir, key+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
+}
+
 // LoadOrNew returns a warmed checkpoint for the context set, loading it
-// from the store when a matching blob exists and building (then
-// uploading) it otherwise. hit reports whether the warmup was skipped. A
-// stale, corrupt, old-version, or mis-keyed blob is treated as a miss
+// from the store when a matching file exists and building (then
+// saving) it otherwise. hit reports whether the warmup was skipped. A
+// stale, corrupt, old-version, or mis-keyed file is treated as a miss
 // and rebuilt over; a failing store is warned about once and never fails
 // the sweep.
-func (sc *StoreClient) LoadOrNew(cfg Config, specs ...ContextSpec) (ck *Checkpoint, hit bool, err error) {
+func (st *DirStore) LoadOrNew(cfg Config, specs ...ContextSpec) (ck *Checkpoint, hit bool, err error) {
 	key := CheckpointKey(&cfg, specs)
-	data, gerr := sc.Store.Get(key)
+	data, found, gerr := st.get(key)
 	switch {
-	case gerr == nil:
-		if ck := sc.decode(key, data, specs); ck != nil {
-			sc.stats().Hits.Add(1)
-			sc.stats().BytesRead.Add(int64(len(data)))
+	case found:
+		if ck := st.decode(key, data, specs); ck != nil {
+			st.stats().Hits.Add(1)
+			st.stats().BytesRead.Add(int64(len(data)))
 			return ck, true, nil
 		}
-		// decode warned; fall through to rebuild (and replace the blob).
-	case errors.Is(gerr, ErrNotFound):
-		// Clean miss: build and upload below.
-	default:
-		// Store trouble. Warn once, build locally, and skip the upload —
-		// a store that cannot serve Get is not worth paying Put timeouts
-		// for on every grid point.
-		sc.warnGet.Do(func() {
+		// decode warned; fall through to rebuild (and replace the file).
+	case gerr != nil:
+		// Store trouble. Warn once, build locally, and skip the save —
+		// a store that cannot serve a read is not trusted with a write.
+		st.warnGet.Do(func() {
 			fmt.Fprintf(os.Stderr, "ckpt-store: unavailable, falling back to local warmups: %v\n", gerr)
 		})
 		ck, err := NewCheckpoint(cfg, specs...)
 		if err != nil {
 			return nil, false, err
 		}
-		sc.stats().Fallbacks.Add(1)
+		st.stats().Fallbacks.Add(1)
 		return ck, false, nil
 	}
 	ck, err = NewCheckpoint(cfg, specs...)
 	if err != nil {
 		return nil, false, err
 	}
-	sc.stats().Misses.Add(1)
+	st.stats().Misses.Add(1)
 	var buf bytes.Buffer
 	perr := ck.Save(&buf)
 	if perr == nil {
-		perr = sc.Store.Put(key, buf.Bytes())
+		perr = st.put(key, buf.Bytes())
 	}
 	if perr != nil {
 		// The checkpoint in hand is valid regardless of whether the store
 		// kept a copy; failing the sweep here would make the cache less
 		// robust than no cache at all.
-		sc.warnPut.Do(func() {
+		st.warnPut.Do(func() {
 			fmt.Fprintf(os.Stderr, "ckpt-store: cannot save %s (checkpoint still used): %v\n", key, perr)
 		})
-		sc.stats().PutFailures.Add(1)
+		st.stats().PutFailures.Add(1)
 	} else {
-		sc.stats().BytesWritten.Add(int64(buf.Len()))
+		st.stats().BytesWritten.Add(int64(buf.Len()))
 	}
 	return ck, false, nil
 }
 
 // decode parses a stored blob and checks it really is the requested
-// checkpoint; contents win over the key, so a blob copied or renamed
+// checkpoint; contents win over the key, so a file copied or renamed
 // across keys must not impersonate another warmup. Returns nil (after
 // a stderr note) for anything unusable.
-func (sc *StoreClient) decode(key string, data []byte, specs []ContextSpec) *Checkpoint {
+func (st *DirStore) decode(key string, data []byte, specs []ContextSpec) *Checkpoint {
 	ck, err := LoadCheckpoint(bytes.NewReader(data))
 	if err == nil && !slices.Equal(ck.specs, specs) {
 		err = fmt.Errorf("blob holds context set %v, wanted %v", ck.specs, specs)
 	}
 	if err != nil {
-		// A present-but-unloadable blob is worth mentioning: it means the
+		// A present-but-unloadable file is worth mentioning: it means the
 		// store was written by an incompatible build or got corrupted, and
 		// every run will silently re-warm until it is replaced.
 		fmt.Fprintf(os.Stderr, "ckpt-store: rebuilding %s: %v\n", key, err)

@@ -1,19 +1,13 @@
 package sim
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // --- key sanitization -------------------------------------------------
@@ -70,17 +64,16 @@ func TestCheckpointKeySanitizesHostileNames(t *testing.T) {
 }
 
 // TestDirStoreRejectsInvalidKeys: raw store access with a hostile key
-// (as the HTTP server might see) must error out, not touch the
-// filesystem outside the store.
+// must error out, not touch the filesystem outside the store.
 func TestDirStoreRejectsInvalidKeys(t *testing.T) {
 	outer := t.TempDir()
 	st := &DirStore{Dir: filepath.Join(outer, "store")}
 	for _, key := range []string{"", "../escape", "a/b", "ck_..ckpt", "bad key"} {
-		if _, err := st.Get(key); err == nil || errors.Is(err, ErrNotFound) {
-			t.Errorf("Get(%q) = %v, want invalid-key error", key, err)
+		if _, found, err := st.get(key); err == nil || found {
+			t.Errorf("get(%q) = %v, want invalid-key error", key, err)
 		}
-		if err := st.Put(key, []byte("x")); err == nil {
-			t.Errorf("Put(%q) accepted a hostile key", key)
+		if err := st.put(key, []byte("x")); err == nil {
+			t.Errorf("put(%q) accepted a hostile key", key)
 		}
 	}
 	if _, err := os.Stat(filepath.Join(outer, "escape")); !os.IsNotExist(err) {
@@ -135,8 +128,8 @@ func TestStorePutFailureNonFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := &StoreStats{}
-	sc := &StoreClient{Store: &DirStore{Dir: filepath.Join(blocker, "store")}, Stats: stats}
-	ck, hit, err := sc.LoadOrNew(tstConfig(), tstSpec())
+	st := &DirStore{Dir: filepath.Join(blocker, "store"), Stats: stats}
+	ck, hit, err := st.LoadOrNew(tstConfig(), tstSpec())
 	if err != nil {
 		t.Fatalf("LoadOrNew failed on an unwritable store: %v", err)
 	}
@@ -155,51 +148,44 @@ func TestStorePutFailureNonFatal(t *testing.T) {
 	}
 }
 
-// TestStoreClientFallsBackWhenUnreachable: a wrong URL (nothing
-// listening) must cost one retry budget, then degrade to local warmups
-// that are bit-identical to store-less ones.
+// TestStoreClientFallsBackWhenUnreachable: a store whose blob cannot
+// be read (here: the key's path is a directory, so the read fails with
+// something other than not-found) must degrade to local warmups that
+// are bit-identical to store-less ones, without ever reporting a hit or
+// a miss.
 func TestStoreClientFallsBackWhenUnreachable(t *testing.T) {
-	hs := NewHTTPStore("http://127.0.0.1:1") // reserved port, connection refused
-	hs.Retries = 2
-	hs.Backoff = time.Millisecond
+	cfg := tstConfig()
 	stats := &StoreStats{}
-	hs.Stats = stats
-	sc := &StoreClient{Store: hs, Stats: stats}
-
-	ck, hit, err := sc.LoadOrNew(tstConfig(), tstSpec())
-	if err != nil {
-		t.Fatalf("LoadOrNew failed against an unreachable store: %v", err)
-	}
-	if hit {
-		t.Fatal("unreachable store reported a hit")
-	}
-	if !hs.Degraded() {
-		t.Fatal("store did not latch degraded after exhausting retries")
-	}
-	if got := stats.Fallbacks.Load(); got != 1 {
-		t.Fatalf("Fallbacks = %d, want 1", got)
-	}
-	// Degraded store: the next LoadOrNew must fail fast (no new
-	// retries) and still produce a usable checkpoint.
-	before := stats.GetRetries.Load()
-	ck2, _, err := sc.LoadOrNew(tstConfig(), tstSpec())
-	if err != nil {
+	st := &DirStore{Dir: t.TempDir(), Stats: stats}
+	if err := os.Mkdir(st.Path(CheckpointKey(&cfg, []ContextSpec{tstSpec()})), 0o777); err != nil {
 		t.Fatal(err)
 	}
-	if got := stats.GetRetries.Load(); got != before {
-		t.Fatalf("degraded store still retried: %d -> %d", before, got)
+
+	var cks []*Checkpoint
+	for i := 1; i <= 2; i++ {
+		ck, hit, err := st.LoadOrNew(cfg, tstSpec())
+		if err != nil {
+			t.Fatalf("LoadOrNew failed against an unreadable store: %v", err)
+		}
+		if hit {
+			t.Fatal("unreadable store reported a hit")
+		}
+		if got := stats.Fallbacks.Load(); got != int64(i) {
+			t.Fatalf("Fallbacks = %d, want %d", got, i)
+		}
+		cks = append(cks, ck)
 	}
-	if got := stats.Fallbacks.Load(); got != 2 {
-		t.Fatalf("Fallbacks = %d, want 2", got)
+	if h, m, pf := stats.Hits.Load(), stats.Misses.Load(), stats.PutFailures.Load(); h+m+pf != 0 {
+		t.Fatalf("fallbacks also counted hits=%d misses=%d put-failures=%d", h, m, pf)
 	}
 
 	// Fallback warmups must match a plain local warmup bit for bit.
-	plain, err := NewCheckpoint(tstConfig(), tstSpec())
+	plain, err := NewCheckpoint(cfg, tstSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := runFork(t, plain)
-	for i, c := range []*Checkpoint{ck, ck2} {
+	for i, c := range cks {
 		if got := runFork(t, c); !reflect.DeepEqual(got, want) {
 			t.Fatalf("fallback checkpoint %d differs from local warmup\ngot:  %+v\nwant: %+v", i, got.Stats, want.Stats)
 		}
@@ -210,267 +196,44 @@ func TestStoreClientFallsBackWhenUnreachable(t *testing.T) {
 
 // TestConcurrentLoadOrNewSameKey: racing LoadOrNew calls on one key
 // must all succeed with usable, identical checkpoints (last rename
-// wins in the store), for both backends.
+// wins in the store).
 func TestConcurrentLoadOrNewSameKey(t *testing.T) {
-	dir := t.TempDir()
-	srv := httptest.NewServer(NewStoreHandler(t.TempDir()))
-	defer srv.Close()
-	backends := map[string]CheckpointStore{
-		"dir":  &DirStore{Dir: dir},
-		"http": NewHTTPStore(srv.URL),
-	}
-	for name, store := range backends {
-		store := store
-		t.Run(name, func(t *testing.T) {
-			stats := &StoreStats{}
-			sc := &StoreClient{Store: store, Stats: stats}
-			const workers = 4
-			cks := make([]*Checkpoint, workers)
-			errs := make([]error, workers)
-			var wg sync.WaitGroup
-			for i := 0; i < workers; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					cks[i], _, errs[i] = sc.LoadOrNew(tstConfig(), tstSpec())
-				}(i)
-			}
-			wg.Wait()
-			var want *Result
-			for i := 0; i < workers; i++ {
-				if errs[i] != nil {
-					t.Fatalf("worker %d: %v", i, errs[i])
-				}
-				r := runFork(t, cks[i])
-				if want == nil {
-					want = r
-				} else if !reflect.DeepEqual(r, want) {
-					t.Fatalf("worker %d's checkpoint runs differently", i)
-				}
-			}
-			// Whatever write won the race must now serve a hit.
-			if _, hit, err := sc.LoadOrNew(tstConfig(), tstSpec()); err != nil {
-				t.Fatal(err)
-			} else if !hit {
-				t.Fatal("store missed after concurrent writers finished")
-			}
-		})
-	}
-}
-
-// TestHTTPStoreSingleFlight: concurrent Gets of one key are coalesced
-// into a single request.
-func TestHTTPStoreSingleFlight(t *testing.T) {
-	const key = "ck_x_s1_w1_g0000000000000000.ckpt"
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		time.Sleep(50 * time.Millisecond) // hold the flight open so callers pile up
-		w.Write([]byte("blob"))
-	}))
-	defer srv.Close()
-	hs := NewHTTPStore(srv.URL)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			data, err := hs.Get(key)
-			if err != nil || string(data) != "blob" {
-				t.Errorf("Get = %q, %v", data, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("server saw %d requests for one key, want 1 (single-flight)", n)
-	}
-}
-
-// --- HTTP protocol ----------------------------------------------------
-
-// TestHTTPStoreRoundTrip: Put then Get through a real server over a
-// real directory, plus the not-found path.
-func TestHTTPStoreRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	srv := httptest.NewServer(NewStoreHandler(dir))
-	defer srv.Close()
-	hs := NewHTTPStore(srv.URL)
-	stats := &StoreStats{}
-	hs.Stats = stats
-
-	const key = "ck_rt_s1_w1_g00000000000000aa.ckpt"
-	blob := bytes.Repeat([]byte{0xc7, 0x01, 0x55}, 1000)
-	if err := hs.Put(key, blob); err != nil {
-		t.Fatal(err)
-	}
-	// The blob landed, atomically, in the served directory.
-	if got, err := os.ReadFile(filepath.Join(dir, key)); err != nil || !bytes.Equal(got, blob) {
-		t.Fatalf("served dir holds %d bytes, err %v", len(got), err)
-	}
-	got, err := hs.Get(key)
-	if err != nil || !bytes.Equal(got, blob) {
-		t.Fatalf("Get returned %d bytes, err %v", len(got), err)
-	}
-	if _, err := hs.Get("ck_missing_s1_w1_g0000000000000000.ckpt"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing key: %v, want ErrNotFound", err)
-	}
-	if hs.Degraded() {
-		t.Fatal("healthy store latched degraded")
-	}
-}
-
-// TestHTTPStoreRetries5xx: transient 5xx responses are retried (and
-// counted); the store only degrades when the budget is exhausted.
-func TestHTTPStoreRetries5xx(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			http.Error(w, "catching my breath", http.StatusServiceUnavailable)
-			return
+	t.Run("dir", func(t *testing.T) {
+		st := &DirStore{Dir: t.TempDir(), Stats: &StoreStats{}}
+		const workers = 4
+		cks := make([]*Checkpoint, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				cks[i], _, errs[i] = st.LoadOrNew(tstConfig(), tstSpec())
+			}(i)
 		}
-		http.Error(w, "no such checkpoint", http.StatusNotFound)
-	}))
-	defer srv.Close()
-	hs := NewHTTPStore(srv.URL)
-	hs.Retries = 3
-	hs.Backoff = time.Millisecond
-	stats := &StoreStats{}
-	hs.Stats = stats
-
-	if _, err := hs.Get("ck_x_s1_w1_g0000000000000000.ckpt"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get after transient 5xx = %v, want ErrNotFound", err)
-	}
-	if got := stats.GetRetries.Load(); got != 2 {
-		t.Fatalf("GetRetries = %d, want 2", got)
-	}
-	if hs.Degraded() {
-		t.Fatal("store degraded although the retry budget was not exhausted")
-	}
-}
-
-// TestHTTPStoreDegradesAfterBudget: persistent 5xx exhausts the budget
-// and latches the store off; later calls fail fast without requests.
-func TestHTTPStoreDegradesAfterBudget(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		http.Error(w, "down", http.StatusInternalServerError)
-	}))
-	defer srv.Close()
-	hs := NewHTTPStore(srv.URL)
-	hs.Retries = 2
-	hs.Backoff = time.Millisecond
-
-	if err := hs.Put("ck_x_s1_w1_g0000000000000000.ckpt", []byte("b")); !errors.Is(err, ErrStoreUnavailable) {
-		t.Fatalf("Put = %v, want ErrStoreUnavailable", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d attempts, want 3 (1 + 2 retries)", got)
-	}
-	if _, err := hs.Get("ck_x_s1_w1_g0000000000000000.ckpt"); !errors.Is(err, ErrStoreUnavailable) {
-		t.Fatalf("Get on degraded store = %v, want ErrStoreUnavailable", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("degraded store still sent requests (%d total)", got)
-	}
-}
-
-// TestStoreHandlerRejectsHostileKeys: the server must refuse keys that
-// could escape or confuse the store before touching the directory.
-func TestStoreHandlerRejectsHostileKeys(t *testing.T) {
-	dir := t.TempDir()
-	h := NewStoreHandler(dir)
-	bad := []string{
-		"ck_..ckpt",              // dot-dot
-		"ck_a%2F..%2Fb.ckpt",     // literal % escapes are fine bytes, but..
-		"bad key.ckpt",           // space
-		"ck_" + "\x01" + ".ckpt", // control byte
-		"",                       // empty
-	}
-	// ..except the %2F case: decoded it is still a valid alphabet, so
-	// craft one that really is hostile after the server's decoding.
-	for _, key := range bad {
-		if key == "ck_a%2F..%2Fb.ckpt" {
-			continue // covered by the raw-path probe below
+		wg.Wait()
+		var want *Result
+		for i := 0; i < workers; i++ {
+			if errs[i] != nil {
+				t.Fatalf("worker %d: %v", i, errs[i])
+			}
+			r := runFork(t, cks[i])
+			if want == nil {
+				want = r
+			} else if !reflect.DeepEqual(r, want) {
+				t.Fatalf("worker %d's checkpoint runs differently", i)
+			}
 		}
-		req := httptest.NewRequest(http.MethodPut, "http://store/ckpt/x", strings.NewReader("x"))
-		req.URL.Path = "/ckpt/" + key // bypass parsing so raw bytes reach the handler
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		if w.Code != http.StatusBadRequest {
-			t.Errorf("PUT with key %q: status %d, want 400", key, w.Code)
+		// Whatever write won the race must now serve a hit.
+		if _, hit, err := st.LoadOrNew(tstConfig(), tstSpec()); err != nil {
+			t.Fatal(err)
+		} else if !hit {
+			t.Fatal("store missed after concurrent writers finished")
 		}
-	}
-	// A traversal attempt via an escaped path against the real server
-	// stack must not create anything outside the store directory.
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	req, err := http.NewRequest(http.MethodPut, srv.URL+"/ckpt/..%2Fescaped", strings.NewReader("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode/100 == 2 {
-		t.Fatalf("traversal PUT succeeded with %s", resp.Status)
-	}
-	if _, err := os.Stat(filepath.Join(filepath.Dir(dir), "escaped")); !os.IsNotExist(err) {
-		t.Fatal("traversal PUT wrote outside the store directory")
-	}
-	// Digest mismatch is caught server-side.
-	req2 := httptest.NewRequest(http.MethodPut, "http://store/ckpt/ck_d_s1_w1_g0000000000000000.ckpt",
-		strings.NewReader("body"))
-	req2.Header.Set("X-Ckpt-Digest", "00000000000000ff")
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req2)
-	if w.Code != http.StatusBadRequest {
-		t.Errorf("digest-mismatch PUT: status %d, want 400", w.Code)
-	}
+	})
 }
 
-// TestHTTPStoreCorruptBlobRebuilt: a present-but-corrupt remote blob is
-// a miss — rebuilt locally and re-uploaded — after which the store
-// serves real hits. Mirrors the DirStore corruption test in
-// serialize_test.go.
-func TestHTTPStoreCorruptBlobRebuilt(t *testing.T) {
-	srv := httptest.NewServer(NewStoreHandler(t.TempDir()))
-	defer srv.Close()
-	hs := NewHTTPStore(srv.URL)
-	stats := &StoreStats{}
-	hs.Stats = stats
-	sc := &StoreClient{Store: hs, Stats: stats}
-
-	cfg := tstConfig()
-	key := key1(&cfg, tstWorkload, tstSeed, tstWarm)
-	if err := hs.Put(key, []byte("garbage")); err != nil {
-		t.Fatal(err)
-	}
-	ck, hit, err := sc.LoadOrNew(cfg, tstSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("corrupt blob counted as a hit")
-	}
-	if r := runFork(t, ck); r.Instructions < tstN {
-		t.Fatalf("rebuilt checkpoint unusable: %d instructions", r.Instructions)
-	}
-	// The rebuild replaced the garbage; now it hits.
-	if _, hit, err := sc.LoadOrNew(cfg, tstSpec()); err != nil {
-		t.Fatal(err)
-	} else if !hit {
-		t.Fatal("store missed after the corrupt blob was replaced")
-	}
-	if stats.Hits.Load() != 1 || stats.Misses.Load() != 1 {
-		t.Fatalf("stats hits=%d misses=%d, want 1/1", stats.Hits.Load(), stats.Misses.Load())
-	}
-}
-
-// TestCheckpointKeyExample documents the on-the-wire key shape.
+// TestCheckpointKeyExample documents the store key shape.
 func TestCheckpointKeyExample(t *testing.T) {
 	cfg := DefaultConfig(QueueIdeal, 128)
 	key := key1(&cfg, "swim", 1, 300000)

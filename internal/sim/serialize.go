@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -193,6 +194,12 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
 		return nil, fmt.Errorf("sim: decoding checkpoint config: %w", err)
 	}
+	// json.Unmarshal forgives unknown keys, key case and duplicates, so
+	// require the exact bytes Save writes: a config that parses but is
+	// not its own encoding has been edited.
+	if canon, err := json.Marshal(cfg); err != nil || !bytes.Equal(canon, cfgJSON) {
+		return nil, fmt.Errorf("sim: checkpoint config is not in canonical form")
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: checkpoint config invalid: %w", err)
 	}
@@ -224,21 +231,14 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 			return nil, fmt.Errorf("sim: checkpoint context %d frontier %d inconsistent with warmup %d",
 				i, poss[i], specs[i].Warm)
 		}
-		bp, err := bpred.DecodePredictor(cr)
+		bp, err := bpred.DecodePredictor(cr, cfg.BranchPredictor)
 		if err != nil {
-			return nil, err
-		}
-		if bp.Config() != cfg.BranchPredictor {
-			return nil, fmt.Errorf("sim: checkpoint context %d predictor geometry does not match its config", i)
+			return nil, fmt.Errorf("sim: checkpoint context %d: %w", i, err)
 		}
 		bps[i] = bp
-		btb, err := bpred.DecodeBTB(cr)
+		btb, err := bpred.DecodeBTB(cr, cfg.BTBEntries, cfg.BTBWays)
 		if err != nil {
-			return nil, err
-		}
-		if entries, ways := btb.Geometry(); entries != cfg.BTBEntries || ways != cfg.BTBWays {
-			return nil, fmt.Errorf("sim: checkpoint context %d BTB geometry %d/%d does not match its config %d/%d",
-				i, entries, ways, cfg.BTBEntries, cfg.BTBWays)
+			return nil, fmt.Errorf("sim: checkpoint context %d: %w", i, err)
 		}
 		btbs[i] = btb
 		nMemo := cr.I64()
@@ -248,11 +248,17 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		if nMemo < 0 || nMemo > maxMemoSuffix {
 			return nil, fmt.Errorf("sim: checkpoint context %d memo suffix length %d implausible", i, nMemo)
 		}
-		memo := make([]isa.Inst, nMemo)
-		for j := range memo {
-			if memo[j], err = trace.DecodeInst(cr); err != nil {
+		// Grow the memo as instructions actually decode rather than
+		// trusting the length field: a corrupt length then costs at most
+		// what the file's remaining bytes can encode, not a huge up-front
+		// allocation.
+		var memo []isa.Inst
+		for j := int64(0); j < nMemo; j++ {
+			in, err := trace.DecodeInst(cr)
+			if err != nil {
 				return nil, err
 			}
+			memo = append(memo, in)
 		}
 		memos[i] = memo
 	}

@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 // TestSaveLoadForkMatchesInMemoryFork: the serialization round trip must
@@ -73,6 +76,83 @@ func saveTestCheckpoint(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// ckptOffsets locates sections of a one-context checkpoint file.
+type ckptOffsets struct {
+	bp   int // predictor section
+	btb  int // BTB section
+	memo int // memo-suffix length field
+}
+
+// sectionOffsets finds the predictor section, the BTB section and the
+// memo-suffix length field of the one-context checkpoint file b. They sit
+// back to back just before the (empty) memo, which is followed by the
+// hierarchy section and the 4-byte trailer, so the offsets follow from
+// re-encoding the loaded sections.
+func sectionOffsets(tb testing.TB, b []byte) ckptOffsets {
+	tb.Helper()
+	ck, err := LoadCheckpoint(bytes.NewReader(b))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(ck.template.ctxs) != 1 {
+		tb.Fatalf("sectionOffsets wants a one-context checkpoint, got %d", len(ck.template.ctxs))
+	}
+	th := ck.template.ctxs[0]
+	var hier, bp, btb bytes.Buffer
+	if err := ck.template.hier.EncodeTo(codec.NewWriter(&hier)); err != nil {
+		tb.Fatal(err)
+	}
+	th.bp.EncodeTo(codec.NewWriter(&bp))
+	th.btb.EncodeTo(codec.NewWriter(&btb))
+	var o ckptOffsets
+	o.memo = len(b) - 4 - hier.Len() - 8
+	o.btb = o.memo - btb.Len()
+	o.bp = o.btb - bp.Len()
+	if got := binary.LittleEndian.Uint64(b[o.memo:]); got != 0 {
+		tb.Fatalf("memo length field at %d reads %d, want 0 (empty memo)", o.memo, got)
+	}
+	return o
+}
+
+// withU64 returns a copy of b with the 8 bytes at off set to v.
+func withU64(b []byte, off int, v uint64) []byte {
+	out := append([]byte(nil), b...)
+	binary.LittleEndian.PutUint64(out[off:], v)
+	return out
+}
+
+// TestLoadCheckpointBoundsAllocation: a corrupt size field must be
+// rejected without allocating for the size it claims. The memo grows only
+// as instructions decode, and branch-structure geometry is checked
+// against the config before any table is built, so each of these files
+// costs what its bytes hold — an up-front allocation for the claimed size
+// would be 64 MiB to 1 GiB.
+func TestLoadCheckpointBoundsAllocation(t *testing.T) {
+	good := saveTestCheckpoint(t)
+	off := sectionOffsets(t, good)
+	bad := map[string][]byte{
+		"memo length":             withU64(good, off.memo, maxMemoSuffix),
+		"BTB entries":             withU64(good, off.btb, 1<<24),
+		"predictor local entries": withU64(good, off.bp+16, 1<<24),
+	}
+	for name, b := range bad {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			_, err := LoadCheckpoint(bytes.NewReader(b))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("corrupt checkpoint loaded without error")
+			}
+			t.Logf("rejected: %v", err)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+				t.Fatalf("rejecting the file allocated %d MiB, want < 64 MiB", grew>>20)
+			}
+		})
+	}
+}
+
 // TestLoadCheckpointRejectsDamage: every class of damaged file must fail
 // with an error, never a panic or a silently wrong machine.
 func TestLoadCheckpointRejectsDamage(t *testing.T) {
@@ -80,6 +160,7 @@ func TestLoadCheckpointRejectsDamage(t *testing.T) {
 	if _, err := LoadCheckpoint(bytes.NewReader(good)); err != nil {
 		t.Fatalf("pristine file failed to load: %v", err)
 	}
+	off := sectionOffsets(t, good)
 
 	damage := map[string]func([]byte) []byte{
 		"empty": func(b []byte) []byte { return nil },
@@ -103,6 +184,21 @@ func TestLoadCheckpointRejectsDamage(t *testing.T) {
 			return b
 		},
 		"trailing garbage": func(b []byte) []byte { return append(b, 0xaa) },
+		// The remaining cases decode to a valid machine, but not to the
+		// one the bytes spell out: Save would write a different file.
+		"config key case": func(b []byte) []byte {
+			i := bytes.Index(b, []byte(`"QueueSize":`))
+			b[i+1] = 'q'
+			return b
+		},
+		"bool byte not 0 or 1": func(b []byte) []byte {
+			b[off.btb+16] = 2 // first BTB entry's valid flag
+			return b
+		},
+		"counter above its maximum": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[off.bp+60:], 1<<20) // first global PHT counter
+			return b
+		},
 	}
 	for name, f := range damage {
 		f := f
@@ -135,13 +231,6 @@ func TestLoadCheckpointRejectsCfgTamper(t *testing.T) {
 	}
 }
 
-// newDirClient builds a StoreClient over a fresh DirStore for tests.
-func newDirClient(t *testing.T) (*StoreClient, *DirStore) {
-	t.Helper()
-	dir := &DirStore{Dir: t.TempDir()}
-	return &StoreClient{Store: dir}, dir
-}
-
 // TestCheckpointStoreHit: the second LoadOrNew for the same key must be a
 // hit, and forks from the loaded checkpoint must match forks from the one
 // that was built and saved.
@@ -149,7 +238,7 @@ func TestCheckpointStoreHit(t *testing.T) {
 	const n = 6000
 	spec := ContextSpec{Workload: "swim", Seed: 2, Warm: 30_000}
 	cfg := SegmentedConfig(256, 64, true, true)
-	st, _ := newDirClient(t)
+	st := &DirStore{Dir: t.TempDir()}
 
 	ck1, hit, err := st.LoadOrNew(cfg, spec)
 	if err != nil {
@@ -192,7 +281,7 @@ func TestCheckpointStoreHit(t *testing.T) {
 // rebuilt, not trusted.
 func TestCheckpointStoreMissOnGeometryChange(t *testing.T) {
 	spec := ContextSpec{Workload: "swim", Seed: 2, Warm: 20_000}
-	st, dir := newDirClient(t)
+	st := &DirStore{Dir: t.TempDir()}
 	cfg := DefaultConfig(QueueIdeal, 128)
 	if _, _, err := st.LoadOrNew(cfg, spec); err != nil {
 		t.Fatal(err)
@@ -208,7 +297,7 @@ func TestCheckpointStoreMissOnGeometryChange(t *testing.T) {
 		t.Fatal("geometry change did not move the fingerprint")
 	}
 
-	path := dir.Path(CheckpointKey(&cfg, []ContextSpec{spec}))
+	path := st.Path(CheckpointKey(&cfg, []ContextSpec{spec}))
 	if err := os.WriteFile(path, []byte("garbage"), 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -235,13 +324,13 @@ func TestCheckpointStoreRejectsImpersonation(t *testing.T) {
 	spec := ContextSpec{Workload: "gcc", Seed: 5, Warm: 20_000}
 	other := spec
 	other.Seed++
-	st, dir := newDirClient(t)
+	st := &DirStore{Dir: t.TempDir()}
 	cfg := DefaultConfig(QueueIdeal, 128)
 	if _, _, err := st.LoadOrNew(cfg, spec); err != nil {
 		t.Fatal(err)
 	}
-	src := dir.Path(CheckpointKey(&cfg, []ContextSpec{spec}))
-	dst := dir.Path(CheckpointKey(&cfg, []ContextSpec{other}))
+	src := st.Path(CheckpointKey(&cfg, []ContextSpec{spec}))
+	dst := st.Path(CheckpointKey(&cfg, []ContextSpec{other}))
 	b, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
