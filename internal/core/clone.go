@@ -55,12 +55,13 @@ func (e *entry) CloneIQ(clone *uop.UOp) any {
 	return ne
 }
 
-// Clone implements iq.Queue: a deep copy of the segments, per-wire
-// indexes, chain pool, wire pipeline, register table and predictors, with
-// every held instruction remapped through m. Each resident entry's clone
-// is the one CloneIQ attached to the remapped instruction, so segments,
-// member lists and uops agree on entry identity. Scratch buffers and the
-// entry freelist are not carried over.
+// Clone implements iq.Queue: a deep copy of the segments, chain-wire
+// indexes, promotable bits, crossing heap, chain pool, wire pipeline,
+// register table and predictors, with every held instruction remapped
+// through m. Each resident entry's clone is the one CloneIQ attached to
+// the remapped instruction, so segments, member lists and uops agree on
+// entry identity. Scratch buffers and the entry freelist are not carried
+// over.
 func (q *SegmentedIQ) Clone(m *uop.CloneMap) iq.Queue {
 	n := new(SegmentedIQ)
 	*n = *q
@@ -88,10 +89,13 @@ func (q *SegmentedIQ) Clone(m *uop.CloneMap) iq.Queue {
 	}
 	n.readyW = make([][]uint64, len(q.readyW))
 	n.storeW = make([][]uint64, len(q.storeW))
+	n.eligW = make([][]uint64, len(q.eligW))
 	for k := range q.readyW {
 		n.readyW[k] = append([]uint64(nil), q.readyW[k]...)
 		n.storeW[k] = append([]uint64(nil), q.storeW[k]...)
+		n.eligW[k] = append([]uint64(nil), q.eligW[k]...)
 	}
+	n.crossings = append(iq.Deadlines[int32](nil), q.crossings...)
 	n.sb = q.sb.Clone(m)
 	n.unresolved = make([]*uop.UOp, len(q.unresolved))
 	for i, u := range q.unresolved {
@@ -101,7 +105,7 @@ func (q *SegmentedIQ) Clone(m *uop.CloneMap) iq.Queue {
 	// but clones stay field-for-field equal to their originals); every
 	// listed entry is resident, so its clone is the one CloneIQ attached.
 	n.members = make([][]member, len(q.members))
-	for w, l := range q.members {
+	for li, l := range q.members {
 		if len(l) == 0 {
 			continue
 		}
@@ -109,7 +113,7 @@ func (q *SegmentedIQ) Clone(m *uop.CloneMap) iq.Queue {
 		for i, mb := range l {
 			nl[i] = member{e: m.Get(mb.e.u).IQ.(*entry), ref: mb.ref}
 		}
-		n.members[w] = nl
+		n.members[li] = nl
 	}
 	n.rows = make([][]int32, len(q.rows))
 	for w, l := range q.rows {

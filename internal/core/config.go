@@ -67,10 +67,9 @@ type Config struct {
 	PredictedLoadLatency int
 
 	// StatsEvery samples the per-cycle occupancy/readiness statistics
-	// every StatsEvery cycles instead of every cycle. The readiness scan
-	// walks every occupied slot, so on large queues it dominates the
-	// cycle loop's cost; sampling trades statistical resolution for
-	// simulation speed. 0 or 1 means every cycle (exact averages);
+	// every StatsEvery cycles instead of every cycle; sampling trades
+	// statistical resolution for simulation speed. 0 or 1 means every
+	// cycle (exact averages);
 	// simulated behaviour (IPC, cycle counts) is unaffected by any value.
 	StatsEvery int
 

@@ -91,6 +91,8 @@ func (cr *chainRef) observe(s signal, now int64) {
 // the entry has left the queue segments).
 type entry struct {
 	u *uop.UOp
+	// seq caches u.Seq, the key segments are sorted by.
+	seq int64
 	// seg is the segment holding the entry, or -1 while it is off the
 	// segments: a batch-promotion candidate in transit, the entry deadlock
 	// recovery recycles, or an issued instruction.
@@ -104,19 +106,30 @@ type entry struct {
 	// arrived is the cycle the entry entered its current segment (or was
 	// dispatched); it may not move again, or issue, in that same cycle.
 	arrived int64
-
-	refs  [2]chainRef
-	nrefs int
+	// cross is the tick of the entry's live item in the queue's crossing
+	// heap — the tick its running countdowns bring it below its segment's
+	// threshold — or 0 when it has none.
+	cross int64
+	// last, frozen and wired summarize refs (summarize): the latest
+	// deadline of a running countdown (0 if none), the largest stopped
+	// delay value, and a bit per ref on a real chain wire. Moving an entry
+	// between segments needs only these, so promotion stays off the refs'
+	// cache lines.
+	last   int64
+	frozen int
+	wired  uint8
 
 	isHead bool
-	head   chain
-
-	// lrpTracked marks an instruction whose left/right prediction must be
-	// scored and trained when both operand arrival times are known.
-	lrpTracked bool
 	// pushedDown marks an entry whose last promotion came from the
 	// pushdown mechanism (stats only).
 	pushedDown bool
+	// lrpTracked marks an instruction whose left/right prediction must be
+	// scored and trained when both operand arrival times are known.
+	lrpTracked bool
+
+	refs  [2]chainRef
+	nrefs int
+	head  chain
 }
 
 // effDelay returns the entry's effective delay value at queue tick now:
@@ -133,11 +146,49 @@ func (e *entry) effDelay(now int64) int {
 	return d
 }
 
+// summarize recomputes last, frozen and wired from refs; every change to
+// refs is followed by it.
+func (e *entry) summarize() {
+	e.last, e.frozen, e.wired = 0, 0, 0
+	for i := 0; i < e.nrefs; i++ {
+		cr := &e.refs[i]
+		if cr.running() {
+			e.last = max(e.last, cr.due)
+		} else {
+			e.frozen = max(e.frozen, cr.delay)
+		}
+		if cr.ch.real() {
+			e.wired |= 1 << i
+		}
+	}
+}
+
+// crossing reports whether the entry's effective delay at tick now is
+// below thr. If it is not, at is the first later tick at which its running
+// countdowns take it below thr with no further signal, or 0 when a frozen
+// value at or above thr blocks that. untilDue(last, t) < thr exactly when
+// t > last-thr; with no running countdown last is 0 and any tick passes.
+func (e *entry) crossing(thr int, now int64) (below bool, at int64) {
+	if e.frozen >= thr {
+		return false, 0
+	}
+	if at := e.last - int64(thr) + 1; at > now {
+		return false, at
+	}
+	return true, 0
+}
+
 // observe applies a chain-wire assertion to all memberships at tick now.
+// Signals travel on real wires, so an entry with no membership on one
+// ignores them without reading refs.
 func (e *entry) observe(s signal, now int64) {
+	if e.wired == 0 {
+		return
+	}
 	for i := 0; i < e.nrefs; i++ {
 		e.refs[i].observe(s, now)
 	}
+	e.summarize()
 }
 
 // regEntry is one register's row in the register information table of

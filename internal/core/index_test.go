@@ -4,22 +4,50 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bitvec"
+	"repro/internal/iq"
 	"repro/internal/isa"
 	"repro/internal/uop"
 )
 
-// checkIndex verifies the per-wire indexes against the segments and the
-// register table: members holds exactly the resident entries' memberships
-// on real wires, each once, with matching slot back-pointers, and no
-// issued or off-segment entry; rows holds exactly the valid real-wire
-// rows; and no countdown reads negative. Valid between queue operations,
-// not inside BeginCycle's promotion pass.
+// checkIndex verifies the chain-wire indexes, entry summaries, promotable
+// bits and crossing heap against the segments and the register table:
+// every entry's summary matches its refs; members holds exactly the
+// resident entries' memberships on real wires, each once, in the list of
+// its wire and its entry's segment, with matching slot back-pointers, and
+// no issued or off-segment entry; rows holds exactly the valid real-wire
+// rows; no countdown reads negative; every promotable bit equals the delay
+// test recomputed from scratch; and every resident entry short of its
+// threshold with a future crossing has a live heap item at exactly that
+// tick. Valid between queue operations, not inside BeginCycle's promotion
+// pass.
 func (q *SegmentedIQ) checkIndex() error {
+	heap := make(map[iq.Deadline[int32]]bool, len(q.crossings))
+	for _, it := range q.crossings {
+		if it.At <= q.ticks {
+			return fmt.Errorf("crossing heap holds %+v at tick %d: it should have been popped", it, q.ticks)
+		}
+		heap[it] = true
+	}
 	want := 0
 	for k, seg := range q.segs {
+		for w, word := range q.eligW[k] {
+			if stray := word &^ occupied(len(seg), w); stray != 0 || (k == 0 && word != 0) {
+				return fmt.Errorf("segment %d promotable word %d = %#x with %d residents", k, w, word, len(seg))
+			}
+		}
 		for i, e := range seg {
 			if e.seg != k || int(e.pos) != i {
 				return fmt.Errorf("entry seq %d at segs[%d][%d] records seg %d pos %d", e.u.Seq, k, i, e.seg, e.pos)
+			}
+			if e.seq != e.u.Seq {
+				return fmt.Errorf("entry seq %d caches seq %d", e.u.Seq, e.seq)
+			}
+			s := *e
+			s.summarize()
+			if s.last != e.last || s.frozen != e.frozen || s.wired != e.wired {
+				return fmt.Errorf("entry seq %d summary last %d frozen %d wired %b, refs give %d %d %b",
+					e.u.Seq, e.last, e.frozen, e.wired, s.last, s.frozen, s.wired)
 			}
 			for r := 0; r < e.nrefs; r++ {
 				cr := &e.refs[r]
@@ -33,24 +61,57 @@ func (q *SegmentedIQ) checkIndex() error {
 					want++
 				}
 			}
+			if k == 0 {
+				if e.cross != 0 {
+					return fmt.Errorf("entry seq %d in segment 0 has a crossing at %d", e.u.Seq, e.cross)
+				}
+				continue
+			}
+			thr := threshold(k - 1)
+			below := e.effDelay(q.ticks) < thr
+			if got := bitvec.Test(q.eligW[k], i); got != below {
+				return fmt.Errorf("entry seq %d in segment %d: promotable bit %v, delay %d against threshold %d", e.u.Seq, k, got, e.effDelay(q.ticks), thr)
+			}
+			// The crossing, recomputed by stepping the clock: the first
+			// tick with delay below the threshold, if running countdowns
+			// reach one.
+			var at int64
+			if !below {
+				for t := q.ticks + 1; t <= q.ticks+int64(thr)+maxDue(e, q.ticks); t++ {
+					if e.effDelay(t) < thr {
+						at = t
+						break
+					}
+				}
+			}
+			if e.cross != at {
+				return fmt.Errorf("entry seq %d in segment %d records crossing %d, want %d", e.u.Seq, k, e.cross, at)
+			}
+			if at != 0 && !heap[iq.Deadline[int32]{At: at, V: e.id}] {
+				return fmt.Errorf("entry seq %d in segment %d: no heap item at its crossing %d", e.u.Seq, k, at)
+			}
 		}
 	}
 	got := 0
-	for w, l := range q.members {
+	for li, l := range q.members {
+		w, k := li/q.cfg.Segments, li%q.cfg.Segments
 		for j, m := range l {
 			e := m.e
 			if e.seg < 0 || q.segs[e.seg][e.pos] != e {
-				return fmt.Errorf("members[%d][%d]: entry seq %d is not resident (seg %d)", w, j, e.u.Seq, e.seg)
+				return fmt.Errorf("members[%d,%d][%d]: entry seq %d is not resident (seg %d)", w, k, j, e.u.Seq, e.seg)
+			}
+			if e.seg != k {
+				return fmt.Errorf("members[%d,%d][%d]: entry seq %d sits in segment %d", w, k, j, e.u.Seq, e.seg)
 			}
 			if e.u.IssueCycle != uop.NotYet {
-				return fmt.Errorf("members[%d][%d]: entry seq %d already issued", w, j, e.u.Seq)
+				return fmt.Errorf("members[%d,%d][%d]: entry seq %d already issued", w, k, j, e.u.Seq)
 			}
 			if int(m.ref) >= e.nrefs {
-				return fmt.Errorf("members[%d][%d]: ref %d beyond nrefs %d", w, j, m.ref, e.nrefs)
+				return fmt.Errorf("members[%d,%d][%d]: ref %d beyond nrefs %d", w, k, j, m.ref, e.nrefs)
 			}
 			cr := &e.refs[m.ref]
 			if cr.ch.id != w || int(cr.slot) != j {
-				return fmt.Errorf("members[%d][%d]: ref on wire %d at slot %d", w, j, cr.ch.id, cr.slot)
+				return fmt.Errorf("members[%d,%d][%d]: ref on wire %d at slot %d", w, k, j, cr.ch.id, cr.slot)
 			}
 			got++
 		}
@@ -83,6 +144,17 @@ func (q *SegmentedIQ) checkIndex() error {
 		return fmt.Errorf("rows lists %d rows, table holds %d valid real-wire rows", got, want)
 	}
 	return nil
+}
+
+// maxDue returns how far past now e's latest running deadline lies.
+func maxDue(e *entry, now int64) int64 {
+	var d int64
+	for i := 0; i < e.nrefs; i++ {
+		if cr := &e.refs[i]; cr.running() && cr.due-now > d {
+			d = cr.due - now
+		}
+	}
+	return d
 }
 
 // SegmentOf answers from the entry's own position: resident entries

@@ -26,10 +26,14 @@ type SegmentedIQ struct {
 	// cycle SkipCycles elides, so a running countdown's value is
 	// max(0, due-ticks) with no per-entry work.
 	ticks int64
-	// members and rows index chain memberships and register-table rows by
-	// wire (index.go).
+	// members indexes chain memberships by (wire, segment) and rows
+	// register-table rows by wire (index.go).
 	members [][]member
 	rows    [][]int32
+	// eligW holds the per-segment promotable bits and crossings the entry
+	// ids whose running countdowns set more of them, by tick (index.go).
+	eligW     [][]uint64
+	crossings iq.Deadlines[int32]
 
 	hmp *bpred.HitMissPredictor
 	lrp *bpred.LeftRightPredictor
@@ -50,9 +54,10 @@ type SegmentedIQ struct {
 	sb     iq.Scoreboard
 	byID   []*entry // scoreboard handle -> entry
 	nextID int32
-	// unresolved holds issued producers whose completion times the
-	// pipeline has not yet stamped; they resolve at the next BeginCycle
-	// (the engine sets Complete right after Issue returns).
+	// unresolved holds issued non-load producers whose completion times
+	// the pipeline has not yet stamped; they resolve at the next
+	// BeginCycle (the engine sets Complete right after Issue returns). A
+	// load's completion arrives through NotifyLoadComplete instead.
 	unresolved []*uop.UOp
 
 	// Scratch buffers reused across cycles so the steady-state cycle loop
@@ -122,9 +127,11 @@ func New(cfg Config) (*SegmentedIQ, error) {
 	}
 	q.readyW = make([][]uint64, cfg.Segments)
 	q.storeW = make([][]uint64, cfg.Segments)
+	q.eligW = make([][]uint64, cfg.Segments)
 	for k := range q.readyW {
 		q.readyW[k] = bitvec.New(cfg.SegSize)
 		q.storeW[k] = bitvec.New(cfg.SegSize)
+		q.eligW[k] = bitvec.New(cfg.SegSize)
 	}
 	if cfg.UseHMP {
 		q.hmp = bpred.MustNewHMP()
@@ -166,7 +173,7 @@ func (q *SegmentedIQ) Config() Config { return q.cfg }
 // the same cycle a signal sits there would cross it in flight and miss it
 // permanently (e.g. a chain resume, leaving the member suspended forever).
 func (q *SegmentedIQ) catchUp(e *entry, k int) {
-	if q.cfg.InstantWires {
+	if q.cfg.InstantWires || e.wired == 0 {
 		return
 	}
 	for _, s := range q.wires.at(k) {
@@ -205,9 +212,9 @@ func (q *SegmentedIQ) newEntry(u *uop.UOp, seg int, arrived int64) *entry {
 		q.entryPool[n-1] = nil
 		q.entryPool = q.entryPool[:n-1]
 		id := e.id
-		*e = entry{u: u, seg: seg, arrived: arrived, id: id}
+		*e = entry{u: u, seq: u.Seq, seg: seg, arrived: arrived, id: id}
 	} else {
-		e = &entry{u: u, seg: seg, arrived: arrived, id: q.nextID}
+		e = &entry{u: u, seq: u.Seq, seg: seg, arrived: arrived, id: q.nextID}
 		q.nextID++
 		q.byID = append(q.byID, nil)
 		q.sb.Grow(int(q.nextID))
@@ -217,8 +224,8 @@ func (q *SegmentedIQ) newEntry(u *uop.UOp, seg int, arrived int64) *entry {
 }
 
 // segRemove takes e out of segment k at its recorded position, shifting
-// the tail and both bitmap words down, and marks it off-segment. It
-// returns e's ready/store bits so a caller moving the entry to another
+// the tail and the bit-words down, unlinks it and marks it off-segment.
+// It returns e's ready/store bits so a caller moving the entry to another
 // segment can carry them along.
 func (q *SegmentedIQ) segRemove(k int, e *entry) (ready, store bool) {
 	i := int(e.pos)
@@ -226,10 +233,12 @@ func (q *SegmentedIQ) segRemove(k int, e *entry) (ready, store bool) {
 	if i >= len(seg) || seg[i] != e {
 		panic("core: entry not found in its segment")
 	}
+	q.unlink(e)
 	ready = bitvec.Test(q.readyW[k], i)
 	store = bitvec.Test(q.storeW[k], i)
 	bitvec.Remove(q.readyW[k], i)
 	bitvec.Remove(q.storeW[k], i)
+	bitvec.Remove(q.eligW[k], i)
 	copy(seg[i:], seg[i+1:])
 	seg[len(seg)-1] = nil
 	seg = seg[:len(seg)-1]
@@ -242,14 +251,14 @@ func (q *SegmentedIQ) segRemove(k int, e *entry) (ready, store bool) {
 }
 
 // segInsert places e into segment k at its sequence-ordered position,
-// shifting the tail and bitmap words up and carrying e's ready/store bits
-// with it.
+// shifting the tail and bit-words up, carrying e's ready/store bits with
+// it, and links it there.
 func (q *SegmentedIQ) segInsert(k int, e *entry, ready, store bool) {
 	seg := q.segs[k]
 	lo, hi := 0, len(seg)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if seg[mid].u.Seq < e.u.Seq {
+		if seg[mid].seq < e.seq {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -261,10 +270,12 @@ func (q *SegmentedIQ) segInsert(k int, e *entry, ready, store bool) {
 	q.segs[k] = seg
 	bitvec.Insert(q.readyW[k], lo, ready)
 	bitvec.Insert(q.storeW[k], lo, store)
+	bitvec.Insert(q.eligW[k], lo, false)
 	e.seg = k
 	for j := lo; j < len(seg); j++ {
 		seg[j].pos = int32(j)
 	}
+	q.link(e)
 }
 
 // setReady flips the ready bit of the entry behind scoreboard handle h.
@@ -341,6 +352,7 @@ func (q *SegmentedIQ) BeginCycle(cycle int64) {
 
 	// Self-timed countdowns: one tick of the shared clock.
 	q.ticks++
+	q.dueCrossings()
 
 	if q.recoverPending {
 		q.recoverPending = false
@@ -349,9 +361,8 @@ func (q *SegmentedIQ) BeginCycle(cycle int64) {
 
 	q.promote(cycle)
 
-	// Statistics. The readiness scan walks every occupied slot, so it is
-	// gated behind the sampling knob (Config.StatsEvery); it has no effect
-	// on scheduling.
+	// Statistics: popcounts of the ready words, gated behind the sampling
+	// knob (Config.StatsEvery); they have no effect on scheduling.
 	if every := int64(q.cfg.StatsEvery); every <= 1 || cycle%every == 0 {
 		q.sampleStats(cycle)
 	}
@@ -422,14 +433,8 @@ func (q *SegmentedIQ) Quiescent(cycle int64) bool {
 	}
 	for k := range q.segs {
 		for _, e := range q.segs[k] {
-			if e.arrived >= q.curCycle {
+			if e.arrived >= q.curCycle || e.last > q.ticks {
 				return false
-			}
-			for i := 0; i < e.nrefs; i++ {
-				cr := &e.refs[i]
-				if cr.running() && cr.due > q.ticks {
-					return false
-				}
 			}
 		}
 	}
@@ -447,8 +452,9 @@ func (q *SegmentedIQ) Quiescent(cycle int64) bool {
 // quiescent the only effects are the wire-pipe shift (a slice-header
 // rotation that must be replayed exactly for state equivalence even though
 // every position is empty), the countdown clock (no countdown is running
-// to a future deadline, but the clock is machine state) and the sampled
-// statistics.
+// to a future deadline, but the clock is machine state), the crossing
+// heap (only stale items can fall due, but popping them is state too) and
+// the sampled statistics.
 func (q *SegmentedIQ) SkipCycles(from, to int64) {
 	every := int64(q.cfg.StatsEvery)
 	for x := from; x < to; x++ {
@@ -456,6 +462,7 @@ func (q *SegmentedIQ) SkipCycles(from, to int64) {
 			q.wires.shift()
 		}
 		q.ticks++
+		q.dueCrossings()
 		if every <= 1 || x%every == 0 {
 			q.sampleStats(x)
 		}
@@ -498,9 +505,8 @@ func (q *SegmentedIQ) promote(cycle int64) {
 	}
 }
 
-// pickMode selects the entries moveSelected moves, by their effective
-// delay against the destination's threshold and whether they have spent a
-// cycle in their current segment.
+// pickMode selects the entries moveSelected moves, by their promotable
+// bit and whether they have spent a cycle in their current segment.
 type pickMode uint8
 
 const (
@@ -520,26 +526,28 @@ const (
 // wires for promoted heads. It returns the number moved. Moves by
 // pickBlocked and pickAny count as pushdowns.
 func (q *SegmentedIQ) moveSelected(k, dest, n int, cycle int64, mode pickMode) int {
-	// The segment is seq-sorted, so collecting in order with an early
-	// break selects the n oldest matches.
-	thr, now := threshold(dest), q.ticks
+	// The promotable bits are in position (= age) order, so taking set
+	// bits low to high selects the n oldest matches.
+	seg := q.segs[k]
 	cand := q.candScratch[:0]
-	for _, e := range q.segs[k] {
-		var ok bool
-		switch mode {
-		case pickEligible:
-			ok = e.arrived < cycle && e.effDelay(now) < thr
-		case pickBlocked:
-			ok = e.arrived < cycle && e.effDelay(now) >= thr
-		case pickBelow:
-			ok = e.effDelay(now) < thr
-		default:
-			ok = true
-		}
-		if ok {
-			cand = append(cand, e)
-			if len(cand) == n {
-				break
+	if mode == pickAny {
+		cand = append(cand, seg[:min(n, len(seg))]...)
+	} else {
+	scan:
+		for wi, w := range q.eligW[k] {
+			if mode == pickBlocked {
+				w = ^w & occupied(len(seg), wi)
+			}
+			for w != 0 {
+				e := seg[wi<<6+bits.TrailingZeros64(w)]
+				w &= w - 1
+				if mode != pickBelow && e.arrived >= cycle {
+					continue
+				}
+				cand = append(cand, e)
+				if len(cand) == n {
+					break scan
+				}
 			}
 		}
 	}
@@ -579,19 +587,32 @@ func (q *SegmentedIQ) moveSelected(k, dest, n int, cycle int64, mode pickMode) i
 	return moved
 }
 
+// occupied returns word wi of the mask of the first n positions.
+func occupied(n, wi int) uint64 {
+	switch r := n - wi<<6; {
+	case r >= 64:
+		return ^uint64(0)
+	case r <= 0:
+		return 0
+	default:
+		return 1<<uint(r) - 1
+	}
+}
+
 // removeBatch takes the candidates — in ascending position order, as
-// collected — out of segment k with a single compaction pass over the
-// slice, stashing each candidate's ready/store bits in moveReady/moveStore
-// for insertBatch. The candidates are off-segment until insertBatch
-// places them.
+// collected — out of segment k and its member lists with a single
+// compaction pass over the slice, stashing each candidate's ready/store
+// bits in moveReady/moveStore for insertBatch. The candidates are
+// off-segment until insertBatch places them.
 func (q *SegmentedIQ) removeBatch(k int, cand []*entry) {
 	q.moveReady = q.moveReady[:0]
 	q.moveStore = q.moveStore[:0]
 	seg := q.segs[k]
-	rw, sw := q.readyW[k], q.storeW[k]
+	rw, sw, ew := q.readyW[k], q.storeW[k], q.eligW[k]
 	for _, e := range cand {
 		q.moveReady = append(q.moveReady, bitvec.Test(rw, int(e.pos)))
 		q.moveStore = append(q.moveStore, bitvec.Test(sw, int(e.pos)))
+		q.unlink(e)
 		e.seg = -1
 	}
 	n := len(cand)
@@ -602,12 +623,14 @@ func (q *SegmentedIQ) removeBatch(k int, cand []*entry) {
 		// tail, one word shift each moves its bits.
 		bitvec.RemoveRun(rw, p, n)
 		bitvec.RemoveRun(sw, p, n)
+		bitvec.RemoveRun(ew, p, n)
 		copy(seg[p:], seg[p+n:])
 	} else {
 		// Drop the bits highest first, so lower positions stay valid.
 		for i := n - 1; i >= 0; i-- {
 			bitvec.Remove(rw, int(cand[i].pos))
 			bitvec.Remove(sw, int(cand[i].pos))
+			bitvec.Remove(ew, int(cand[i].pos))
 		}
 		ci, w := 0, p
 		for r := p; r < len(seg); r++ {
@@ -631,24 +654,28 @@ func (q *SegmentedIQ) removeBatch(k int, cand []*entry) {
 
 // insertBatch merges the candidates (seq-sorted, with their bits in
 // moveReady/moveStore) into segment dest with a single backward merge
-// over the slice and bit words. In the common promotion pattern the
-// incoming instructions are all younger than the destination's residents,
-// so the merge degenerates to an append.
+// over the slice and bit words, linking each candidate at its final
+// position. In the common promotion pattern the incoming instructions are
+// all younger than the destination's residents, so the merge degenerates
+// to an append.
 func (q *SegmentedIQ) insertBatch(dest int, cand []*entry) {
 	seg := q.segs[dest]
 	d := len(seg)
 	for range cand {
 		seg = append(seg, nil)
 	}
-	rw, sw := q.readyW[dest], q.storeW[dest]
+	q.segs[dest] = seg
+	rw, sw, ew := q.readyW[dest], q.storeW[dest], q.eligW[dest]
+	thr := threshold(dest - 1)
 	i, w := d-1, len(seg)-1
 	for j := len(cand) - 1; j >= 0; w-- {
-		if i >= 0 && seg[i].u.Seq > cand[j].u.Seq {
+		if i >= 0 && seg[i].seq > cand[j].seq {
 			e := seg[i]
 			seg[w] = e
 			e.pos = int32(w)
 			bitvec.Assign(rw, w, bitvec.Test(rw, i))
 			bitvec.Assign(sw, w, bitvec.Test(sw, i))
+			bitvec.Assign(ew, w, bitvec.Test(ew, i))
 			i--
 			continue
 		}
@@ -658,17 +685,27 @@ func (q *SegmentedIQ) insertBatch(dest int, cand []*entry) {
 		e.pos = int32(w)
 		bitvec.Assign(rw, w, q.moveReady[j])
 		bitvec.Assign(sw, w, q.moveStore[j])
+		// link without re-summarizing, and updateElig inline: a call per
+		// moved entry is a measurable share of promotion's cost. unlink
+		// cleared cross.
+		if e.wired != 0 {
+			q.linkWires(e)
+		}
+		if dest > 0 {
+			below, at := e.crossing(thr, q.ticks)
+			bitvec.Assign(ew, w, below)
+			if at != 0 {
+				q.setCrossing(e, at)
+			}
+		}
 		j--
 	}
-	q.segs[dest] = seg
 }
 
-// removeFromSegment takes e out of segment k, out of the member lists and
-// out of readiness tracking: the entry is leaving the queue segments for
-// good.
+// removeFromSegment takes e out of segment k and out of readiness
+// tracking: the entry is leaving the queue segments for good.
 func (q *SegmentedIQ) removeFromSegment(k int, e *entry) {
 	q.segRemove(k, e)
-	q.unlink(e)
 	q.sb.Untrack(e.id)
 }
 
@@ -706,9 +743,10 @@ func (q *SegmentedIQ) Issue(cycle int64, max int, tryIssue func(*uop.UOp) bool) 
 		q.removeFromSegment(0, e)
 		q.total--
 		out = append(out, e.u)
-		if e.u.Inst.HasDest() {
+		if e.u.Inst.HasDest() && !e.u.IsLoad() {
 			// The pipeline stamps Complete after Issue returns; resolve
 			// the completion for waiting consumers at the next advance.
+			// A load's completion comes with NotifyLoadComplete.
 			q.unresolved = append(q.unresolved, e.u)
 		}
 		if e.isHead {
@@ -910,6 +948,7 @@ func (q *SegmentedIQ) Dispatch(cycle int64, u *uop.UOp) bool {
 		e.refs[1] = refFrom(outs[1].re)
 		e.nrefs = 2
 	}
+	e.summarize() // catchUp, below, reads it
 
 	if u.Inst.HasDest() {
 		predLat := u.Latency()
@@ -945,9 +984,8 @@ func (q *SegmentedIQ) Dispatch(cycle int64, u *uop.UOp) bool {
 
 	u.DispatchCycle = cycle
 	u.IQ = e
-	q.segInsert(target, e, q.sb.Track(e.id, u, cycle), u.IsStore())
-	q.link(e)
 	q.catchUp(e, target)
+	q.segInsert(target, e, q.sb.Track(e.id, u, cycle), u.IsStore())
 	q.total++
 	q.dispatchedThisCycle++
 	q.stDispatched.Inc()
@@ -1034,7 +1072,7 @@ func (q *SegmentedIQ) recover(cycle int64) {
 
 	var recycled *entry
 	var recycledReady, recycledStore bool
-	if len(q.segs[0]) >= q.cfg.SegSize && !q.anyReady(0, cycle) {
+	if len(q.segs[0]) >= q.cfg.SegSize && !q.anyReady(0) {
 		oldest := q.segs[0][0] // seq-sorted: slot 0 is the oldest
 		recycledReady, recycledStore = q.segRemove(0, oldest)
 		recycled = oldest
@@ -1060,8 +1098,8 @@ func (q *SegmentedIQ) recover(cycle int64) {
 		for k := q.cfg.Segments - 1; k >= 0; k-- {
 			if len(q.segs[k]) < q.cfg.SegSize {
 				recycled.arrived = cycle
-				q.segInsert(k, recycled, recycledReady, recycledStore)
 				q.catchUp(recycled, k)
+				q.segInsert(k, recycled, recycledReady, recycledStore)
 				placed = true
 				break
 			}
@@ -1075,7 +1113,7 @@ func (q *SegmentedIQ) recover(cycle int64) {
 	}
 }
 
-func (q *SegmentedIQ) anyReady(k int, cycle int64) bool {
+func (q *SegmentedIQ) anyReady(k int) bool {
 	return bitvec.Any(q.readyW[k])
 }
 

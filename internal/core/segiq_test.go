@@ -771,8 +771,9 @@ func TestSegmentOneDegeneratesToConventional(t *testing.T) {
 	if len(got) != 1 || got[0] != ld {
 		t.Fatalf("issue = %v", got)
 	}
-	// Load data at cycle 8.
+	// Load data at cycle 8, announced as LSQ.finishLoad does.
 	ld.Complete = 8
+	q.NotifyLoadComplete(8, ld)
 	q.BeginCycle(8)
 	if got := q.Issue(8, 8, always); len(got) != 1 || got[0] != con {
 		t.Fatalf("consumer issue = %v", got)

@@ -62,7 +62,10 @@ type Queue interface {
 	// design).
 	NotifyLoadMiss(cycle int64, u *uop.UOp)
 	// NotifyLoadComplete tells the scheduler that a load's data has
-	// returned (chain resumption, consumer wakeup).
+	// returned (chain resumption, consumer wakeup). It is how a load's
+	// completion reaches the queue: the caller stamps u.Complete and
+	// makes this call in the same event, so queues need not poll issued
+	// loads for their completion.
 	NotifyLoadComplete(cycle int64, u *uop.UOp)
 	// Writeback tells the scheduler that u's result has been written to
 	// the register file (chain deallocation point). Implementations rely
@@ -154,11 +157,12 @@ type Conventional struct {
 	storeW []uint64 // position-indexed: stores (Ready-stat correction)
 	sb     Scoreboard
 
-	// unresolved holds issued producers whose completion time was still
-	// unknown when they left the queue: the execution core stamps
-	// u.Complete right after Issue returns, so the next BeginCycle wakes
-	// their consumers with the exact completion cycle. (The Writeback
-	// call delivers the same information; whichever arrives first wins.)
+	// unresolved holds issued non-load producers whose completion time
+	// was still unknown when they left the queue: the execution core
+	// stamps u.Complete right after Issue returns, so the next BeginCycle
+	// wakes their consumers with the exact completion cycle. (The
+	// Writeback call delivers the same information; whichever arrives
+	// first wins.) A load's completion arrives with NotifyLoadComplete.
 	unresolved []*uop.UOp
 
 	outScratch []*uop.UOp // backs Issue's result; reused every cycle
@@ -320,7 +324,7 @@ scan:
 				u.IssueCycle = cycle
 				out = append(out, u)
 				removed = append(removed, int32(pos))
-				if u.Inst.HasDest() {
+				if u.Inst.HasDest() && !u.IsLoad() {
 					q.unresolved = append(q.unresolved, u)
 				}
 				if len(out) >= max {

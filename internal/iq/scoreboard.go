@@ -141,9 +141,8 @@ func (w *Waiters) Pending() bool { return len(w.wt.heads) > 0 }
 func (w *Waiters) Clone(m *uop.CloneMap) Waiters { return Waiters{wt: w.wt.clone(m)} }
 
 // wheelItem is a scheduled readiness delivery: handle h becomes ready at
-// cycle at, unless its generation moved on (the handle was untracked).
+// its cycle, unless its generation moved on (the handle was untracked).
 type wheelItem struct {
-	at  int64
 	h   int32
 	gen uint32
 }
@@ -168,7 +167,7 @@ type Scoreboard struct {
 	wt    waiterTable
 	held  []*uop.UOp // per handle: the tracked instruction
 	gen   []uint32   // per handle: bumped on Untrack; stales wheel items
-	wheel []wheelItem
+	wheel Deadlines[wheelItem]
 	out   []int32
 }
 
@@ -199,7 +198,7 @@ func (s *Scoreboard) evaluate(h int32, u *uop.UOp, now int64) (ready bool) {
 		}
 	}
 	if readyAt > now {
-		s.wheelPush(wheelItem{at: readyAt, h: h, gen: s.gen[h]})
+		s.wheel.Push(readyAt, wheelItem{h: h, gen: s.gen[h]})
 		return false
 	}
 	return true
@@ -241,9 +240,12 @@ func (s *Scoreboard) Wake(p *uop.UOp, now int64) []int32 {
 // Due returns the handles whose scheduled readiness cycle has arrived.
 func (s *Scoreboard) Due(now int64) []int32 {
 	ready := s.out[:0]
-	for len(s.wheel) > 0 && s.wheel[0].at <= now {
-		it := s.wheelPop()
-		if it.gen == s.gen[it.h] {
+	for {
+		d, ok := s.wheel.PopDue(now)
+		if !ok {
+			break
+		}
+		if it := d.V; it.gen == s.gen[it.h] {
 			ready = append(ready, it.h)
 		}
 	}
@@ -254,52 +256,13 @@ func (s *Scoreboard) Due(now int64) []int32 {
 // Pending reports whether any handle is parked or scheduled (test hook).
 func (s *Scoreboard) Pending() bool { return len(s.wt.heads) > 0 || len(s.wheel) > 0 }
 
-// wheelPush and wheelPop maintain the min-heap by at without
-// container/heap's interface boxing.
-func (s *Scoreboard) wheelPush(it wheelItem) {
-	s.wheel = append(s.wheel, it)
-	i := len(s.wheel) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s.wheel[parent].at <= s.wheel[i].at {
-			break
-		}
-		s.wheel[parent], s.wheel[i] = s.wheel[i], s.wheel[parent]
-		i = parent
-	}
-}
-
-func (s *Scoreboard) wheelPop() wheelItem {
-	top := s.wheel[0]
-	last := len(s.wheel) - 1
-	s.wheel[0] = s.wheel[last]
-	s.wheel = s.wheel[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && s.wheel[l].at < s.wheel[small].at {
-			small = l
-		}
-		if r < last && s.wheel[r].at < s.wheel[small].at {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s.wheel[i], s.wheel[small] = s.wheel[small], s.wheel[i]
-		i = small
-	}
-	return top
-}
-
 // Clone deep-copies the scoreboard with instructions remapped through m.
 // Scratch storage is not carried over.
 func (s *Scoreboard) Clone(m *uop.CloneMap) Scoreboard {
 	n := Scoreboard{
 		wt:    s.wt.clone(m),
 		gen:   append([]uint32(nil), s.gen...),
-		wheel: append([]wheelItem(nil), s.wheel...),
+		wheel: append(Deadlines[wheelItem](nil), s.wheel...),
 	}
 	n.held = make([]*uop.UOp, len(s.held))
 	for i, u := range s.held {
