@@ -13,9 +13,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/iq"
+	"repro/internal/iq/iqtest"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/perf"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/uop"
@@ -227,14 +227,14 @@ func BenchmarkAblationInstantWires(b *testing.B) {
 // BenchmarkSegmentedQueueCycle measures one BeginCycle+Issue round trip of
 // a loaded 512-entry segmented queue, refilled as it issues.
 func BenchmarkSegmentedQueueCycle(b *testing.B) {
-	perf.QueueCycleLoop(b, core.MustNew(core.DefaultConfig(512, 128)))
+	iqtest.QueueCycleLoop(b, core.MustNew(core.DefaultConfig(512, 128)))
 }
 
 // BenchmarkConventionalQueueCycle measures the same round trip over the
 // conventional (ideal) queue, whose select runs straight off the ready
 // bitmap.
 func BenchmarkConventionalQueueCycle(b *testing.B) {
-	perf.QueueCycleLoop(b, iq.NewConventional(512))
+	iqtest.QueueCycleLoop(b, iq.NewConventional(512))
 }
 
 // BenchmarkCacheHierarchy measures demand accesses through the Table 1

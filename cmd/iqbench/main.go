@@ -18,10 +18,8 @@
 //	iqbench -experiment fig2
 //	iqbench -experiment fig3 -n 100000 -warm 500000
 //	iqbench -experiment table2 -benchmarks swim,equake
-//	iqbench -perf-json BENCH_3.json # simulator performance baseline
-//	iqbench -perf-compare auto      # fresh capture vs newest checked-in baseline
-//	iqbench -smt-sweep              # SMT matrix: context sets × designs × 2/4 contexts
-//	iqbench -smt-sweep -benchmarks swim+twolf,mgrid+gcc
+//	iqbench -experiment smt         # SMT matrix: context sets × designs × 2/4 contexts
+//	iqbench -experiment smt -benchmarks swim+twolf,mgrid+gcc
 //
 // Sweeps can reuse warmups across processes and spread a grid over
 // machines:
@@ -64,22 +62,17 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/experiments"
-	"repro/internal/perf"
 	"repro/internal/sim"
 )
 
 func main() {
 	var (
 		exp            = flag.String("experiment", "all", strings.Join(experiments.Experiments, ", ")+", or all")
-		smtSweep       = flag.Bool("smt-sweep", false, "run the SMT scenario matrix (shorthand for -experiment smt): co-scheduled context sets × queue designs × 2/4 hardware contexts; -benchmarks takes comma-separated \"+\"-joined sets, e.g. swim+twolf,mgrid+gcc")
 		n              = flag.Int64("n", 0, "measured instructions per run (0 = default)")
 		warm           = flag.Int64("warm", 0, "warm-up instructions per run (0 = default)")
 		seed           = flag.Uint64("seed", 1, "workload seed")
 		benches        = flag.String("benchmarks", "", "comma-separated benchmark subset (default all)")
 		par            = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		perfJSON       = flag.String("perf-json", "", "measure simulator performance (pinned workloads) and write a BENCH json baseline to this path, instead of running experiments")
-		perfCompare    = flag.String("perf-compare", "", "measure simulator performance and compare against the BENCH json baseline at this path (warn-only), instead of running experiments; \"auto\" picks the highest-numbered BENCH_<n>.json in the current directory")
-		perfThresh     = flag.Float64("perf-threshold", 0.5, "tolerated fractional slowdown for -perf-compare (0.5 = 50%)")
 		ckptDir        = flag.String("ckpt-dir", "", "directory backing the warm-checkpoint cache: warmups found there are loaded instead of re-simulated, new ones are saved for later runs")
 		noSkip         = flag.Bool("no-skip", false, "step every simulated cycle instead of skipping provably idle spans; results are bit-identical either way (this flag exists for cross-checking and for before/after perf comparisons)")
 		noPrefix       = flag.Bool("no-prefix-share", false, "fork every sweep point from its warm checkpoint instead of sharing the detailed prefix of each sweep family's most permissive member; results are bit-identical either way (this flag exists for cross-checking and for before/after perf comparisons)")
@@ -103,67 +96,6 @@ func main() {
 	if err := checkCkptDir(*ckptDir, *coordServe != "", *workerMode, *mergeList != ""); err != nil {
 		fmt.Fprintf(os.Stderr, "iqbench: %v\n", err)
 		os.Exit(2)
-	}
-
-	if *perfJSON != "" || *perfCompare != "" {
-		if *perfCompare == "auto" {
-			latest, err := perf.LatestBaseline(".")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iqbench: %v\n", err)
-				os.Exit(1)
-			}
-			*perfCompare = latest
-		}
-		start := time.Now()
-		b := perf.Measure(*noSkip)
-		for _, w := range b.Workloads {
-			fmt.Printf("%-28s %12.0f ns/op %8d B/op %6d allocs/op", w.Name, w.NsPerOp, w.BytesPerOp, w.AllocsPerOp)
-			if w.SimMIPS > 0 {
-				fmt.Printf(" %8.3f simMIPS %8.0f ns/simcycle", w.SimMIPS, w.NsPerSimCycle)
-			}
-			if w.SkipWindows > 0 {
-				fmt.Printf(" [skip: %d cycles / %d windows]", w.SkippedCycles, w.SkipWindows)
-			}
-			if w.PrefixTotalCycles > 0 {
-				fmt.Printf(" [prefix: %d/%d cycles shared]", w.PrefixSharedCycles, w.PrefixTotalCycles)
-			}
-			if w.PrescreenScreened > 0 {
-				fmt.Printf(" [prescreen: %d/%d simulated, audit rho %.3f]",
-					w.PrescreenSimulated, w.PrescreenScreened, w.PrescreenAuditRho)
-			}
-			fmt.Println()
-		}
-		if *perfJSON != "" {
-			if err := b.WriteJSON(*perfJSON); err != nil {
-				fmt.Fprintf(os.Stderr, "iqbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("[perf baseline written to %s in %.1fs]\n", *perfJSON, time.Since(start).Seconds())
-		}
-		if *perfCompare != "" {
-			base, err := perf.ReadJSON(*perfCompare)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iqbench: %v\n", err)
-				os.Exit(1)
-			}
-			warnings := perf.Compare(base, b, *perfThresh)
-			if len(warnings) == 0 {
-				fmt.Printf("[no perf regressions vs %s (threshold %.0f%%), %.1fs]\n",
-					*perfCompare, 100**perfThresh, time.Since(start).Seconds())
-			}
-			for _, w := range warnings {
-				fmt.Printf("WARNING: %s\n", w)
-			}
-		}
-		return
-	}
-
-	if *smtSweep {
-		if *exp != "all" && *exp != "smt" {
-			fmt.Fprintf(os.Stderr, "iqbench: -smt-sweep conflicts with -experiment %s\n", *exp)
-			os.Exit(2)
-		}
-		*exp = "smt"
 	}
 
 	o := experiments.DefaultOptions()
@@ -325,17 +257,11 @@ func serveCoordinator(addr, experiment string, o experiments.Options, spoolDir s
 	if experiment == "" || experiment == "all" {
 		return fmt.Errorf("-coord needs a single -experiment (the grid to distribute)")
 	}
-	costs, err := perf.LoadCostModel(".")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "[coord: no perf baseline (%v); ordering jobs by instruction count]\n", err)
-		costs = nil
-	}
 	s, err := coord.NewServer(coord.Config{
 		Experiment: experiment,
 		Options:    o,
 		SpoolDir:   spoolDir,
 		LeaseTTL:   leaseTTL,
-		Costs:      costs,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

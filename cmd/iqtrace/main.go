@@ -42,14 +42,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "iqtrace:", err)
 		os.Exit(1)
 	}
-	p, err := sim.New(cfg, s)
+	streams := []trace.Stream{s}
+	p, err := sim.NewEngine(cfg, streams)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "iqtrace:", err)
 		os.Exit(1)
 	}
-	if *warm > 0 {
-		p.Warm(s, *warm)
-	}
+	p.Warm(streams, *warm)
 	q := p.Queue().(*core.SegmentedIQ)
 	nSegs := q.Config().Segments
 

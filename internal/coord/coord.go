@@ -24,11 +24,12 @@
 //     determinism anyway).
 //
 // Assignment is cost-weighted: jobs are handed out most-expensive
-// first (longest-processing-time order), priced per workload from the
-// newest BENCH_<n>.json baseline via perf's cost model, falling back
-// to instruction-count heuristics. Compared with the static round-robin
-// `-shard i/n` split, the straggler shard shrinks: the expensive points
-// spread across workers first and the cheap tail load-balances itself.
+// first (longest-processing-time order), each priced at its measured
+// instructions times its hardware contexts, with ties broken by key.
+// The order depends only on the grid. Compared with the static
+// round-robin `-shard i/n` split, the straggler shard shrinks: the
+// expensive points spread across workers first and the cheap tail
+// load-balances itself.
 package coord
 
 import (
@@ -44,7 +45,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/perf"
 )
 
 // DefaultLeaseTTL bounds how long a worker may sit on a leased job
@@ -70,9 +70,6 @@ type Config struct {
 	// MaxLease caps the jobs handed out per lease request (workers may
 	// ask for fewer). Zero means 4.
 	MaxLease int
-	// Costs prices grid points for assignment order; nil falls back to
-	// the instruction-count heuristic (perf's nil-model behaviour).
-	Costs *perf.CostModel
 	// Now is the clock, swappable by tests; nil means time.Now.
 	Now func() time.Time
 	// Logf receives progress lines (leases, expiries, completions);
@@ -218,8 +215,8 @@ func NewServer(cfg Config) (*Server, error) {
 	// derives the identical queue.
 	order := make([]JobCost, len(jobs))
 	for i, j := range jobs {
-		order[i] = JobCost{Key: j.Key, Cost: cfg.Costs.Cost(j.Workload, cfg.Options.Instructions)}
 		s.workload[j.Key] = j.Workload
+		order[i] = JobCost{Key: j.Key, Cost: s.cost(j.Key)}
 	}
 	sort.SliceStable(order, func(i, k int) bool {
 		if order[i].Cost != order[k].Cost {
@@ -252,9 +249,15 @@ func (s *Server) Queue() []JobCost {
 	defer s.mu.Unlock()
 	out := make([]JobCost, len(s.pending))
 	for i, k := range s.pending {
-		out[i] = JobCost{Key: k, Cost: s.cfg.Costs.Cost(s.workload[k], s.cfg.Options.Instructions)}
+		out[i] = JobCost{Key: k, Cost: s.cost(k)}
 	}
 	return out
+}
+
+// cost prices a job for assignment order: its measured instructions
+// times its hardware contexts.
+func (s *Server) cost(key string) float64 {
+	return float64(s.cfg.Options.Instructions) * float64(experiments.ContextCount(s.workload[key]))
 }
 
 func (s *Server) now() time.Time {

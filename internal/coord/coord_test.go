@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/perf"
 )
 
 // coordTestOptions is the smallest interesting grid: table2 over swim
@@ -398,39 +397,35 @@ func TestWorkerLoop(t *testing.T) {
 	}
 }
 
-// TestQueueCostOrder: with a measured baseline the queue is
-// longest-processing-time ordered — every swim job (priced 3× gcc)
-// precedes every gcc job, and costs are non-increasing.
+// TestQueueCostOrder: the queue is longest-processing-time ordered,
+// each job priced at instructions × contexts with ties broken by key —
+// every 4-context SMT job precedes every 2-context one, and the order
+// depends only on the grid.
 func TestQueueCostOrder(t *testing.T) {
 	o := coordTestOptions()
-	o.Benchmarks = []string{"swim", "gcc"}
-	costs := perf.NewCostModel(perf.Baseline{
-		Schema: perf.Schema,
-		Workloads: []perf.Metrics{
-			{Name: "table1_segmented_swim", NsPerOp: 3e9, SimInstructions: 1e6},
-			{Name: "table1_segmented_gcc", NsPerOp: 1e9, SimInstructions: 1e6},
-		},
-	})
+	o.Benchmarks = []string{"swim+gcc"}
 	s, err := NewServer(Config{
-		Experiment: "table2",
+		Experiment: "smt",
 		Options:    o,
 		SpoolDir:   t.TempDir(),
-		Costs:      costs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := s.Queue()
-	if len(q) != 8 {
-		t.Fatalf("queue has %d jobs, want 8", len(q))
+	if len(q) != 10 {
+		t.Fatalf("queue has %d jobs, want 10", len(q))
 	}
 	for i, jc := range q {
-		if i > 0 && jc.Cost > q[i-1].Cost {
-			t.Fatalf("queue not cost-descending at %d: %v", i, q)
+		ctx := 2
+		if i < 5 {
+			ctx = 4
 		}
-		wantSwim := i < 4
-		if strings.HasSuffix(jc.Key, "/swim") != wantSwim {
-			t.Fatalf("queue position %d is %s; want all swim jobs first: %v", i, jc.Key, q)
+		if want := float64(o.Instructions) * float64(ctx); jc.Cost != want || !strings.Contains(jc.Key, fmt.Sprintf("/%dctx/", ctx)) {
+			t.Fatalf("queue position %d is %s at cost %v; want a %d-context job at %v: %v", i, jc.Key, jc.Cost, ctx, want, q)
+		}
+		if i > 0 && jc.Cost == q[i-1].Cost && jc.Key <= q[i-1].Key {
+			t.Fatalf("equal-cost jobs not in key order at %d: %v", i, q)
 		}
 	}
 }

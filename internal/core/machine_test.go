@@ -150,7 +150,7 @@ func TestCloneWithPendingCrossings(t *testing.T) {
 		t.Fatalf("clone holds %d pending crossings, original %d", n, q.LiveCrossings())
 	}
 	var results []*sim.Result
-	for _, e := range []*sim.Engine{p.Engine, twin} {
+	for _, e := range []*sim.Engine{p, twin} {
 		q := e.Queue().(*core.SegmentedIQ)
 		for i := 0; i < 500; i++ {
 			e.Step()
@@ -159,7 +159,7 @@ func TestCloneWithPendingCrossings(t *testing.T) {
 			}
 		}
 		// The budget is already met, so Run only reports.
-		r, err := (&sim.Processor{Engine: e}).Run(e.Committed())
+		r, err := e.Run(e.Committed())
 		if err != nil {
 			t.Fatal(err)
 		}

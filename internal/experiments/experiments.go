@@ -124,7 +124,7 @@ type job struct {
 
 // contexts converts a "+"-joined context set into the sim layer's
 // ordered specs: context i runs element i seeded with Seed+i (the same
-// convention as sim.RunSMT) and warms Warmup instructions.
+// convention as iqsim.RunSMT) and warms Warmup instructions.
 func (o Options) contexts(wl string) []sim.ContextSpec {
 	parts := strings.Split(wl, "+")
 	specs := make([]sim.ContextSpec, len(parts))
@@ -172,6 +172,17 @@ type ckEntry struct {
 	refs int
 }
 
+// warmConfig is the configuration a key's checkpoint is warmed under:
+// the Table 1 machine with the key's geometry. Warming reads nothing
+// else, but a stored checkpoint records its configuration, so deriving
+// it from the key alone makes the stored bytes the same whichever job
+// reaches the key first.
+func (k ckKey) warmConfig() sim.Config {
+	cfg := sim.DefaultConfig(sim.QueueIdeal, 1)
+	cfg.Memory, cfg.BranchPredictor, cfg.BTBEntries, cfg.BTBWays = k.mem, k.bp, k.btbE, k.btbW
+	return cfg
+}
+
 func (c *ckCache) key(j job) ckKey {
 	return ckKey{wl: j.wl, mem: j.cfg.Memory, bp: j.cfg.BranchPredictor,
 		btbE: j.cfg.BTBEntries, btbW: j.cfg.BTBWays}
@@ -205,15 +216,15 @@ func (c *ckCache) get(j job) (*sim.Checkpoint, error) {
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		specs := c.o.contexts(j.wl)
+		cfg, specs := key.warmConfig(), c.o.contexts(j.wl)
 		if c.st == nil {
-			e.ck, e.err = sim.NewCheckpoint(j.cfg, specs...)
+			e.ck, e.err = sim.NewCheckpoint(cfg, specs...)
 			return
 		}
 		// Hit/miss/fallback accounting lives in the DirStore; store
 		// failures never surface here — LoadOrNew degrades to a local
 		// warmup instead, so a broken store cannot kill the batch.
-		e.ck, _, e.err = c.st.LoadOrNew(j.cfg, specs...)
+		e.ck, _, e.err = c.st.LoadOrNew(cfg, specs...)
 	})
 	return e.ck, e.err
 }

@@ -14,8 +14,8 @@ import (
 // have written.
 
 // JobSpec describes one grid point for scheduling purposes: its stable
-// key and the "+"-joined context set it simulates (the workload string
-// is what a cost model prices).
+// key and the "+"-joined context set it simulates (the coordinator
+// prices a job by its context count).
 type JobSpec struct {
 	// Key is the grid point's unique key, stable across processes.
 	Key string

@@ -83,7 +83,7 @@ func TestRunAllForkMatchesColdPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, j := range jobs {
-		cold, err := sim.RunWorkloadWarm(j.cfg, j.wl, o.Seed, o.Instructions, o.Warmup)
+		cold, err := sim.RunContexts(j.cfg, o.contexts(j.wl), o.Instructions)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,7 +86,7 @@ type ShardFile struct {
 // a pre-screened sweep's shard file records only the simulated points,
 // exactly as a cold sweep of the same selection would, and the
 // screening outcome goes to the summary line (iqbench's
-// [prescreen: ...]) and the perf baseline's prescreen_* fields.
+// [prescreen: ...]).
 
 // RunShard simulates shard `shard` of `numShards` of the named
 // experiment's grid under o. Shard 0 of 1 is exactly the full grid.
@@ -190,6 +190,15 @@ func MergeShards(files []*ShardFile) (*ShardFile, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("experiments: merge of zero shard files")
 	}
+	// Size the merge by the results actually supplied, not by the
+	// files' own TotalJobs claim.
+	supplied := 0
+	for i, sf := range files {
+		if sf == nil {
+			return nil, fmt.Errorf("experiments: shard file %d is empty", i)
+		}
+		supplied += len(sf.Results)
+	}
 	first := files[0]
 	if first.Schema != ShardSchema {
 		return nil, fmt.Errorf("experiments: shard schema %d, this build reads %d", first.Schema, ShardSchema)
@@ -200,7 +209,7 @@ func MergeShards(files []*ShardFile) (*ShardFile, error) {
 	seen := make(map[int]bool, len(files))
 	merged := *first
 	merged.Shard, merged.NumShards = 0, 1
-	merged.Results = make(map[string]*RecordedResult, first.TotalJobs)
+	merged.Results = make(map[string]*RecordedResult, supplied)
 	merged.CkptStats = nil
 	for _, sf := range files {
 		if sf.Schema != ShardSchema {
@@ -217,7 +226,10 @@ func MergeShards(files []*ShardFile) (*ShardFile, error) {
 		}
 		seen[sf.Shard] = true
 		for key, r := range sf.Results {
-			if merged.Results[key] != nil {
+			if r == nil {
+				return nil, fmt.Errorf("experiments: shard %d has no result for grid point %s", sf.Shard, key)
+			}
+			if _, dup := merged.Results[key]; dup {
 				return nil, fmt.Errorf("experiments: grid point %s in more than one shard", key)
 			}
 			merged.Results[key] = r

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -156,5 +158,54 @@ func TestSweepSurvivesUnwritableDirStore(t *testing.T) {
 	}
 	if pf := o.CkptStats.PutFailures.Load(); pf != 2 {
 		t.Fatalf("PutFailures = %d, want 2 (one per workload)", pf)
+	}
+}
+
+// TestColdCheckpointFilesIndependentOfJobOrder: two cold batches that
+// reach each checkpoint key through different grid points — here the
+// same fig2 grid in opposite orders — must write byte-identical
+// checkpoint files, so any shard split or -parallel setting fills a
+// store with the same bytes.
+func TestColdCheckpointFilesIndependentOfJobOrder(t *testing.T) {
+	o := Options{Instructions: 300, Warmup: 4000, Seed: 1, Benchmarks: []string{"swim", "gcc"}}
+	jobs, err := experimentJobs("fig2", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirs [2]string
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+		oo := o
+		oo.CheckpointDir = dirs[i]
+		cks := &ckCache{o: oo, st: oo.store(), m: make(map[ckKey]*ckEntry)}
+		order := slices.Clone(jobs)
+		if i == 1 {
+			slices.Reverse(order)
+		}
+		for _, j := range order {
+			if _, err := cks.get(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	files, err := os.ReadDir(dirs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 {
+		t.Fatalf("cold batch stored %d files, want 2 (one per workload)", len(files))
+	}
+	for _, f := range files {
+		a, err := os.ReadFile(filepath.Join(dirs[0], f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dirs[1], f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: %d bytes in one order, %d in the other", f.Name(), len(a), len(b))
+		}
 	}
 }

@@ -23,22 +23,22 @@ func TestCloneActiveAllocsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Engine.run(5_000); err != nil {
+	if _, err := p.Run(5_000); err != nil {
 		t.Fatal(err)
 	}
 	// Step to a snapshot boundary, then warm the buffer pool with one
 	// clone/recycle round so the measured runs see steady state.
-	for i := 0; i < 100_000 && p.Engine.inExec != 0; i++ {
-		p.Engine.Step()
+	for i := 0; i < 100_000 && p.inExec != 0; i++ {
+		p.Step()
 	}
-	first, err := p.Engine.CloneActive()
+	first, err := p.CloneActive()
 	if err != nil {
 		t.Fatal(err)
 	}
 	first.Recycle()
 	const maxAllocs = 5_000
 	if avg := testing.AllocsPerRun(20, func() {
-		c, err := p.Engine.CloneActive()
+		c, err := p.CloneActive()
 		if err != nil {
 			panic(err)
 		}
@@ -67,7 +67,7 @@ func TestRecycleReusesLineArrays(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		p.Engine.Recycle()
+		p.Recycle()
 	}
 	fork() // warm the pool
 	res := testing.Benchmark(func(b *testing.B) {

@@ -121,7 +121,7 @@ func (ck *Checkpoint) Release() {
 // the n-context resource partitioning is re-derived from cfg exactly as
 // NewEngine would. Concurrent forks are safe: the checkpoint is only
 // ever read.
-func (ck *Checkpoint) Fork(cfg Config) (*Processor, error) {
+func (ck *Checkpoint) Fork(cfg Config) (*Engine, error) {
 	t := ck.template
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -157,5 +157,5 @@ func (ck *Checkpoint) Fork(cfg Config) (*Processor, error) {
 		e.ctxs = append(e.ctxs, th)
 	}
 	e.bindCallbacks()
-	return &Processor{Engine: e}, nil
+	return e, nil
 }

@@ -26,7 +26,7 @@ func TestCheckpointForkMatchesColdRun(t *testing.T) {
 	for name, cfg := range forkTestConfigs() {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
-			cold, err := RunWorkloadWarm(cfg, workload, seed, n, warm)
+			cold, err := runWarm(cfg, workload, seed, n, warm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +67,7 @@ func TestCheckpointForkAcrossConfigs(t *testing.T) {
 	for name, cfg := range forkTestConfigs() {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
-			cold, err := RunWorkloadWarm(cfg, workload, seed, n, warm)
+			cold, err := runWarm(cfg, workload, seed, n, warm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +122,7 @@ func TestEngineCloneRunsIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := p.Engine.Clone()
+	twin, err := p.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestEngineCloneRunsIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := (&Processor{Engine: twin}).Run(5000)
+	b, err := twin.Run(5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestEngineCloneRejectsInFlightState(t *testing.T) {
 	if p.Committed() == 0 && p.hier.EQ.Len() == 0 {
 		t.Skip("machine idle after 50 cycles; nothing in flight")
 	}
-	if _, err := p.Engine.Clone(); err == nil {
+	if _, err := p.Clone(); err == nil {
 		t.Error("clone of a mid-run machine accepted")
 	}
 }

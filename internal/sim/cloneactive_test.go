@@ -38,11 +38,11 @@ func TestEngineCloneActiveMidRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pending := stepToBoundary(t, p.Engine, 2000)
+			pending := stepToBoundary(t, p, 2000)
 			if pending > 0 {
 				sawPending = true
 			}
-			twin, err := p.Engine.CloneActive()
+			twin, err := p.CloneActive()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +50,7 @@ func TestEngineCloneActiveMidRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := (&Processor{Engine: twin}).Run(n)
+			b, err := twin.Run(n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,13 +76,13 @@ func TestEngineCloneActiveRejectsMidExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5000 && p.Engine.inExec == 0; i++ {
+	for i := 0; i < 5000 && p.inExec == 0; i++ {
 		p.Step()
 	}
-	if p.Engine.inExec == 0 {
+	if p.inExec == 0 {
 		t.Skip("machine never entered execution in 5000 cycles")
 	}
-	if _, err := p.Engine.CloneActive(); err == nil {
+	if _, err := p.CloneActive(); err == nil {
 		t.Error("active clone accepted with instructions in execution")
 	}
 }

@@ -13,14 +13,14 @@ import (
 	"repro/internal/uop"
 )
 
-// Engine is the one machine behind both Processor and SMTProcessor: a
-// Table 1 pipeline whose shared resources (instruction queue, function
-// units, memory hierarchy) are driven by one or more hardware contexts.
-// A single-threaded run is simply an Engine with one context; the §7 SMT
-// machine is the same Engine with several. Fetch and dispatch bandwidth
-// rotate round-robin among contexts, commit bandwidth is shared with
-// rotating priority, and chains from independent threads interleave
-// freely in the segmented queue.
+// Engine is the simulated machine: a Table 1 pipeline whose shared
+// resources (instruction queue, function units, memory hierarchy) are
+// driven by one or more hardware contexts. A single-threaded run is
+// simply an Engine with one context; the §7 SMT machine is the same
+// Engine with several. Fetch and dispatch bandwidth rotate round-robin
+// among contexts, commit bandwidth is shared with rotating priority, and
+// chains from independent threads interleave freely in the segmented
+// queue.
 type Engine struct {
 	cfg Config
 	q   iq.Queue
@@ -546,16 +546,11 @@ func (e *Engine) warmContexts(streams []trace.Stream, budgets []int64) {
 	}
 }
 
-// run simulates until the total committed instructions reach the budget
-// (or every trace drains). A safety valve aborts pathologically stuck
-// runs.
-func (e *Engine) run(maxInstructions int64) error {
-	return e.runHooked(maxInstructions, nil)
-}
-
-// runHooked is run with a per-iteration hook, called before each Step
-// while the machine is still at a cycle boundary. The prefix-sharing
-// ladder uses it to snapshot the reference machine mid-run.
+// runHooked simulates until the total committed instructions reach the
+// budget (or every trace drains), calling hook, if non-nil, before each
+// Step while the machine is still at a cycle boundary (the
+// prefix-sharing ladder snapshots the reference machine there). A safety
+// valve aborts pathologically stuck runs.
 func (e *Engine) runHooked(maxInstructions int64, hook func(*Engine)) error {
 	if maxInstructions < 1 {
 		return fmt.Errorf("sim: instruction budget %d", maxInstructions)
@@ -586,23 +581,3 @@ func (e *Engine) runHooked(maxInstructions int64, hook func(*Engine)) error {
 	}
 	return nil
 }
-
-// Debug prints internal machine state; used by diagnostic tools.
-func (e *Engine) Debug() {
-	for _, th := range e.ctxs {
-		fmt.Printf("ctx%d: inExec=%d eqLen=%d lsqBusy=%v lsqLen=%d robLen=%d feBuf=%d feDone=%v\n",
-			th.id, e.inExec, e.hier.EQ.Len(), th.lsq.Busy(), th.lsq.Len(), th.rob.Len(), th.fe.BufLen(), th.fe.Done())
-		if h := th.rob.Head(); h != nil {
-			fmt.Printf("rob head: %s EADone=%d memkind=%d\n", h.String(), h.EADone, h.MemKind)
-			for j := 0; j < 2; j++ {
-				if pr := h.Prod[j]; pr != nil {
-					fmt.Printf("  prod%d: %s EADone=%d kind=%d\n", j, pr.String(), pr.EADone, pr.MemKind)
-				}
-			}
-		}
-	}
-}
-
-// ROBHead exposes the oldest in-flight instruction of the first context;
-// diagnostic use only.
-func (e *Engine) ROBHead() *uop.UOp { return e.ctxs[0].rob.Head() }

@@ -32,7 +32,7 @@ func TestGoldenCycleCounts(t *testing.T) {
 		tc := tc
 		t.Run(tc.name+"/"+tc.workload, func(t *testing.T) {
 			t.Parallel()
-			r, err := RunWorkloadWarm(tc.cfg, tc.workload, 1, 8000, 50000)
+			r, err := runWarm(tc.cfg, tc.workload, 1, 8000, 50000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,13 +60,13 @@ func TestStatsSamplingDoesNotChangeBehaviour(t *testing.T) {
 		base := base
 		t.Run(string(base.Queue), func(t *testing.T) {
 			t.Parallel()
-			r1, err := RunWorkloadWarm(base, "gcc", 7, 3000, 10000)
+			r1, err := runWarm(base, "gcc", 7, 3000, 10000)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sampled := base
 			sampled.StatsSampleEvery = 64
-			r2, err := RunWorkloadWarm(sampled, "gcc", 7, 3000, 10000)
+			r2, err := runWarm(sampled, "gcc", 7, 3000, 10000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,11 +94,11 @@ func TestRunDeterminism(t *testing.T) {
 		cfg := cfg
 		t.Run(string(cfg.Queue), func(t *testing.T) {
 			t.Parallel()
-			r1, err := RunWorkloadWarm(cfg, "swim", 3, 3000, 10000)
+			r1, err := runWarm(cfg, "swim", 3, 3000, 10000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := RunWorkloadWarm(cfg, "swim", 3, 3000, 10000)
+			r2, err := runWarm(cfg, "swim", 3, 3000, 10000)
 			if err != nil {
 				t.Fatal(err)
 			}

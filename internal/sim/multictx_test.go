@@ -213,7 +213,7 @@ func TestSMTCheckpointForkSkipConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return r, p.Engine
+				return r, p
 			}
 			rSkip, eSkip := run(false)
 			rStep, eStep := run(true)

@@ -368,7 +368,7 @@ func RunFamily(ck *Checkpoint, cfgs []Config, n int64, share bool, ps *PrefixSta
 		if err != nil {
 			return err
 		}
-		p.Engine.Recycle()
+		p.Recycle()
 		results[i] = r
 		addTotal(r)
 		return nil
@@ -395,14 +395,14 @@ func RunFamily(ck *Checkpoint, cfgs []Config, n int64, share bool, ps *PrefixSta
 	}
 	lad := newLadder()
 	defer lad.release()
-	if err := p.Engine.runHooked(n, lad.maybeTake); err != nil {
+	if err := p.runHooked(n, lad.maybeTake); err != nil {
 		return nil, err
 	}
 	results[ref] = p.result()
 	addTotal(results[ref])
-	demands := p.Engine.Demands()
-	nctx := len(p.Engine.ctxs)
-	refCfg := p.Engine.cfg // post-forContexts, as every rung's is
+	demands := p.Demands()
+	nctx := len(p.ctxs)
+	refCfg := p.cfg // post-forContexts, as every rung's is
 
 	for i := range cfgs {
 		if i == ref {
@@ -446,7 +446,7 @@ func RunFamily(ck *Checkpoint, cfgs []Config, n int64, share bool, ps *PrefixSta
 			}
 			continue
 		}
-		r, err := (&Processor{Engine: sib}).Run(n)
+		r, err := sib.Run(n)
 		if err != nil {
 			return nil, err
 		}
@@ -458,6 +458,6 @@ func RunFamily(ck *Checkpoint, cfgs []Config, n int64, share bool, ps *PrefixSta
 			ps.SharedCycles.Add(rung.cycle)
 		}
 	}
-	p.Engine.Recycle()
+	p.Recycle()
 	return results, nil
 }

@@ -171,7 +171,7 @@ func TestRunFamilyFullShare(t *testing.T) {
 				t.Fatal(err)
 			}
 			peak := int64(-1)
-			for _, d := range probe.Engine.Demands() {
+			for _, d := range probe.Demands() {
 				if d.Dim == tc.dim {
 					peak = d.Peak()
 				}
@@ -244,7 +244,7 @@ func TestCloneBoundedMidRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			peak := int64(-1)
-			for _, d := range probe.Engine.Demands() {
+			for _, d := range probe.Demands() {
 				if d.Dim == tc.dim {
 					peak = d.Peak()
 				}
@@ -269,7 +269,7 @@ func TestCloneBoundedMidRun(t *testing.T) {
 					sib, cloneErr = e.CloneBounded(sibCfg)
 				}
 			}
-			if err := p.Engine.runHooked(n, hook); err != nil {
+			if err := p.runHooked(n, hook); err != nil {
 				t.Fatal(err)
 			}
 			if cloneErr != nil {
@@ -279,7 +279,7 @@ func TestCloneBoundedMidRun(t *testing.T) {
 				t.Fatal("run never reached a cloneable boundary past cycle 4096")
 			}
 			forkCycle := sib.cycle
-			got, err := (&Processor{Engine: sib}).Run(n)
+			got, err := sib.Run(n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,7 +327,7 @@ func TestRunFamilyMidRunDivergence(t *testing.T) {
 	// mid-run, forcing a rung fork rather than a whole-run copy.
 	sibRob := 0
 	var divAt int64
-	for _, d := range probe.Engine.Demands() {
+	for _, d := range probe.Demands() {
 		if d.Dim != "rob" {
 			continue
 		}

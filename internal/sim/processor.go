@@ -2,67 +2,47 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-// Result reports a completed simulation.
+// Result reports a completed simulation, on one hardware context or
+// several.
 type Result struct {
+	// Workload names the context set: the workload itself on one
+	// context, the per-context workloads joined with "+" on several.
 	Workload     string
 	QueueName    string
 	Instructions int64
 	Cycles       int64
 	IPC          float64
-	Stats        *stats.Set
+	// PerThread and Workloads list each context's committed instructions
+	// and workload, in context order.
+	PerThread []int64
+	Workloads []string
+	Stats     *stats.Set
 }
 
-// Processor is one simulated core: the Table 1 pipeline around a
-// pluggable instruction queue. It is an Engine with a single hardware
-// context and the single-threaded result report.
+// Processor is an Engine and nothing more. It remains because perfbench
+// reports on the machines it builds with NewEngine and steps by hand
+// through (&sim.Processor{Engine: e}).Run(n); Run is Engine.Run,
+// promoted.
 type Processor struct {
 	*Engine
 }
 
-// New builds a processor over the given workload stream.
-func New(cfg Config, stream trace.Stream) (*Processor, error) {
-	e, err := NewEngine(cfg, []trace.Stream{stream})
-	if err != nil {
+// Run simulates until maxInstructions commit in total across contexts
+// (or every trace drains) and returns the results.
+func (e *Engine) Run(maxInstructions int64) (*Result, error) {
+	if err := e.runHooked(maxInstructions, nil); err != nil {
 		return nil, err
 	}
-	return &Processor{Engine: e}, nil
+	return e.result(), nil
 }
 
-// MustNew is New for known-good configurations.
-func MustNew(cfg Config, stream trace.Stream) *Processor {
-	p, err := New(cfg, stream)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Warm consumes n instructions from s — which must replay the same
-// deterministic stream the processor will execute — installing their
-// cache lines and training the branch structures, without advancing
-// simulated time. It stands in for the paper's 20-billion-instruction
-// fast-forward to a checkpoint: short measured samples then start from a
-// steady state instead of a cold machine.
-func (p *Processor) Warm(s trace.Stream, n int64) {
-	p.Engine.Warm([]trace.Stream{s}, n)
-}
-
-// Run simulates until maxInstructions commit (or the trace drains) and
-// returns the results.
-func (p *Processor) Run(maxInstructions int64) (*Result, error) {
-	if err := p.Engine.run(maxInstructions); err != nil {
-		return nil, err
-	}
-	return p.result(), nil
-}
-
-func (p *Processor) result() *Result {
-	e := p.Engine
+func (e *Engine) result() *Result {
 	s := stats.NewSet()
 	committed := e.Committed()
 	cycles := e.cycle
@@ -82,15 +62,14 @@ func (p *Processor) result() *Result {
 	// Per-context front-end and LSQ statistics. A single-context machine
 	// keeps the historical unprefixed names; a multi-context one reports
 	// every context separately under thread<i>_, plus its committed count.
-	workload := e.ctxs[0].workload
+	res := &Result{QueueName: e.q.Name(), Instructions: committed, Cycles: e.cycle, IPC: ipc, Stats: s}
 	for _, th := range e.ctxs {
+		res.PerThread = append(res.PerThread, th.committed)
+		res.Workloads = append(res.Workloads, th.workload)
 		pfx := ""
 		if len(e.ctxs) > 1 {
 			pfx = fmt.Sprintf("thread%d_", th.id)
 			s.Put(pfx+"committed", float64(th.committed))
-			if th != e.ctxs[0] {
-				workload += "+" + th.workload
-			}
 		}
 		s.Put(pfx+"fetched", float64(th.fe.Fetched()))
 		s.Put(pfx+"branches", float64(th.fe.Branches()))
@@ -105,6 +84,7 @@ func (p *Processor) result() *Result {
 		s.Put(pfx+"lsq_loads", float64(th.lsq.LoadsIssued()))
 		s.Put(pfx+"lsq_store_writes", float64(th.lsq.StoreWrites()))
 	}
+	res.Workload = strings.Join(res.Workloads, "+")
 	s.Put("fu_structural_stalls", float64(e.fus.StructuralStalls()))
 
 	d := e.hier.L1D.Stats()
@@ -117,38 +97,15 @@ func (p *Processor) result() *Result {
 	s.Put("mem_fetches", float64(e.hier.Mem.Fetches()))
 
 	e.q.CollectStats(s)
-
-	return &Result{
-		Workload:     workload,
-		QueueName:    e.q.Name(),
-		Instructions: committed,
-		Cycles:       e.cycle,
-		IPC:          ipc,
-		Stats:        s,
-	}
+	return res
 }
 
-// RunWorkload is the package's convenience entry point: build the named
-// workload, simulate n instructions on the configured machine, and return
-// the result.
-func RunWorkload(cfg Config, workload string, seed uint64, n int64) (*Result, error) {
-	return RunWorkloadWarm(cfg, workload, seed, n, 0)
-}
-
-// RunWorkloadWarm is RunWorkload preceded by a functional fast-forward:
-// the first warm instructions of the stream are consumed to install cache
-// lines and train the branch structures (Processor.Warm); measurement then
-// continues from that point, as with the paper's checkpoints.
-func RunWorkloadWarm(cfg Config, workload string, seed uint64, n, warm int64) (*Result, error) {
-	return RunContexts(cfg, []ContextSpec{{Workload: workload, Seed: seed, Warm: warm}}, n)
-}
-
-// RunContexts is the cold-machine reference path for a context set: one
-// hardware context per spec, each stream built from its (workload, seed)
-// and fast-forwarded round-robin over the per-context warm budgets, then
-// n total committed instructions simulated. It warms exactly as
-// NewCheckpoint does, so a machine forked from a checkpoint over the
-// same specs behaves identically to this cold run.
+// RunContexts is the cold-machine run: one hardware context per spec,
+// each stream built from its (workload, seed) and fast-forwarded
+// round-robin over the per-context warm budgets, then n total committed
+// instructions simulated. It warms exactly as NewCheckpoint does, so a
+// machine forked from a checkpoint over the same specs behaves
+// identically to this cold run.
 func RunContexts(cfg Config, specs []ContextSpec, n int64) (*Result, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("sim: run needs at least one context")
@@ -168,6 +125,5 @@ func RunContexts(cfg Config, specs []ContextSpec, n int64) (*Result, error) {
 		return nil, err
 	}
 	e.warmContexts(streams, budgets)
-	p := &Processor{Engine: e}
-	return p.Run(n)
+	return e.Run(n)
 }

@@ -24,9 +24,9 @@ func aluTrace(n int, interpose map[int]isa.Inst) []isa.Inst {
 	return out
 }
 
-func runTrace(t *testing.T, cfg Config, ins []isa.Inst) (*Processor, *Result) {
+func runTrace(t *testing.T, cfg Config, ins []isa.Inst) (*Engine, *Result) {
 	t.Helper()
-	p := MustNew(cfg, trace.FromSlice("t", ins))
+	p := mustEngine(cfg, trace.FromSlice("t", ins))
 	// Pre-warm the instruction lines so cold I-cache misses to memory do
 	// not dominate these short timing-focused traces. (Branch training is
 	// also applied, which the misprediction test compensates for by using
@@ -138,7 +138,7 @@ func TestLSQFullStall(t *testing.T) {
 func TestFIFOQueueEndToEnd(t *testing.T) {
 	cfg := FIFOConfig(128)
 	for _, w := range []string{"gcc", "swim"} {
-		r, err := RunWorkloadWarm(cfg, w, 1, 3000, 30_000)
+		r, err := runWarm(cfg, w, 1, 3000, 30_000)
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}
@@ -157,14 +157,14 @@ func TestFIFOQueueEndToEnd(t *testing.T) {
 func TestSegmentGatingEndToEnd(t *testing.T) {
 	cfg := SegmentedConfig(256, 0, false, false)
 	s, _ := trace.New("swim", 1)
-	p := MustNew(cfg, s)
-	p.Warm(s, 100_000)
+	p := mustEngine(cfg, s)
+	p.Warm([]trace.Stream{s}, 100_000)
 	p.Queue().(*core.SegmentedIQ).SetActiveSegments(1)
 	full, err := p.Run(8000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	open, err := RunWorkloadWarm(cfg, "swim", 1, 8000, 100_000)
+	open, err := runWarm(cfg, "swim", 1, 8000, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +180,11 @@ func TestSegmentGatingEndToEnd(t *testing.T) {
 // raise measured IPC on a reuse-heavy workload.
 func TestWarmImprovesCacheResidentWorkload(t *testing.T) {
 	cfg := DefaultConfig(QueueIdeal, 128)
-	cold, err := RunWorkload(cfg, "twolf", 1, 5000)
+	cold, err := runWarm(cfg, "twolf", 1, 5000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunWorkloadWarm(cfg, "twolf", 1, 5000, 300_000)
+	warm, err := runWarm(cfg, "twolf", 1, 5000, 300_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestBackToBackThroughFullMachine(t *testing.T) {
 // TestDelayedHitsObserved: swim's same-line loads must produce delayed
 // hits in the L1D, the paper's §6.1 swim observation.
 func TestDelayedHitsObserved(t *testing.T) {
-	r, err := RunWorkloadWarm(DefaultConfig(QueueIdeal, 512), "swim", 1, 10_000, 100_000)
+	r, err := runWarm(DefaultConfig(QueueIdeal, 512), "swim", 1, 10_000, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestStoreRetiresOnlyWithData(t *testing.T) {
 // beyond the budget.
 func TestUopOvershootBound(t *testing.T) {
 	cfg := DefaultConfig(QueueIdeal, 64)
-	r, err := RunWorkload(cfg, "gcc", 1, 1000)
+	r, err := runWarm(cfg, "gcc", 1, 1000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestDistanceQueueEndToEnd(t *testing.T) {
 	}
 	cfg := DistanceConfig(320)
 	for _, w := range trace.Names() {
-		r, err := RunWorkloadWarm(cfg, w, 1, 3000, 30_000)
+		r, err := runWarm(cfg, w, 1, 3000, 30_000)
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}
@@ -280,15 +280,12 @@ func TestDistanceQueueEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDiagnostics covers the diagnostic accessors used by cmd tooling.
+// TestDiagnostics covers the cycle accessor a hand-stepped machine
+// reports.
 func TestDiagnostics(t *testing.T) {
 	ins := aluTrace(4, nil)
-	p := MustNew(DefaultConfig(QueueIdeal, 32), trace.FromSlice("t", ins))
+	p := mustEngine(DefaultConfig(QueueIdeal, 32), trace.FromSlice("t", ins))
 	p.Step()
-	if p.ROBHead() != nil && p.ROBHead().Seq != 0 {
-		t.Error("ROBHead wrong")
-	}
-	p.Debug() // must not panic with or without a ROB head
 	if p.Cycle() != 1 {
 		t.Error("cycle accessor")
 	}

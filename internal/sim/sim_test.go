@@ -12,7 +12,7 @@ const testInsts = 8000
 
 func run(t *testing.T, cfg Config, workload string, n int64) *Result {
 	t.Helper()
-	r, err := RunWorkload(cfg, workload, 7, n)
+	r, err := runWarm(cfg, workload, 7, n, 0)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", cfg.Queue, workload, err)
 	}
@@ -37,10 +37,10 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad3.Validate(); err == nil {
 		t.Error("zero ROB accepted")
 	}
-	if _, err := New(bad, trace.FromSlice("x", nil)); err == nil {
+	if _, err := newEngine(bad, trace.FromSlice("x", nil)); err == nil {
 		t.Error("New must validate")
 	}
-	if _, err := RunWorkload(DefaultConfig(QueueIdeal, 32), "nope", 1, 10); err == nil {
+	if _, err := runWarm(DefaultConfig(QueueIdeal, 32), "nope", 1, 10, 0); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
@@ -193,7 +193,7 @@ func TestFiniteTraceDrains(t *testing.T) {
 		{PC: 12, Class: isa.Load, Src1: 2, Src2: isa.RegNone, Dest: 3, Size: 8, Addr: 0x100},
 		{PC: 16, Class: isa.Store, Src1: 3, Src2: 2, Size: 8, Addr: 0x108},
 	}
-	p := MustNew(SegmentedConfig(64, 8, false, false), trace.FromSlice("tiny", ins))
+	p := mustEngine(SegmentedConfig(64, 8, false, false), trace.FromSlice("tiny", ins))
 	r, err := p.Run(1000)
 	if err != nil {
 		t.Fatal(err)

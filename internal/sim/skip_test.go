@@ -166,18 +166,18 @@ func runSkipPair(t *testing.T, cfg Config, workload string, seed uint64, n, warm
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := New(c, s)
+		p, err := newEngine(c, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if warm > 0 {
-			p.Warm(s, warm)
+			p.Warm([]trace.Stream{s}, warm)
 		}
 		r, err := p.Run(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r, p.Engine
+		return r, p
 	}
 	rSkip, eSkip = run(false)
 	rStep, eStep = run(true)
@@ -287,10 +287,10 @@ func TestSkipConformanceSMT(t *testing.T) {
 		cfg := cfg
 		t.Run(string(cfg.Queue), func(t *testing.T) {
 			t.Parallel()
-			run := func(noSkip bool) (*SMTResult, *Engine) {
+			run := func(noSkip bool) (*Result, *Engine) {
 				c := cfg
 				c.NoSkip = noSkip
-				res, err := RunSMT(c, []string{"swim", "gcc"}, 1, 12000, 30000)
+				res, err := runSMT(c, []string{"swim", "gcc"}, 1, 12000, 30000)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -326,7 +326,7 @@ func TestCheckpointForkSkipConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r, p.Engine
+		return r, p
 	}
 	rSkip, eSkip := run(false)
 	rStep, eStep := run(true)

@@ -63,7 +63,7 @@ func TestSMTGoldenCycleCounts(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			res, err := RunSMT(tc.cfg, tc.workloads, 1, tc.n, tc.warm)
+			res, err := runSMT(tc.cfg, tc.workloads, 1, tc.n, tc.warm)
 			if err != nil {
 				t.Fatalf("RunSMT: %v", err)
 			}
@@ -96,7 +96,7 @@ func TestSMTFetchPortAfterDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewSMT(DefaultConfig(QueueIdeal, 256),
+	p, err := NewEngine(DefaultConfig(QueueIdeal, 256),
 		[]trace.Stream{trace.Limit(short, 1500), long})
 	if err != nil {
 		t.Fatal(err)

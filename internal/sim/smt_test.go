@@ -7,19 +7,19 @@ import (
 )
 
 func TestSMTValidation(t *testing.T) {
-	if _, err := NewSMT(SegmentedConfig(128, 64, false, false), nil); err == nil {
+	if _, err := NewEngine(SegmentedConfig(128, 64, false, false), nil); err == nil {
 		t.Fatal("zero streams accepted")
 	}
 	bad := SegmentedConfig(128, 64, false, false)
 	bad.Queue = "nonsense"
 	s, _ := trace.New("gcc", 1)
-	if _, err := NewSMT(bad, []trace.Stream{s}); err == nil {
+	if _, err := NewEngine(bad, []trace.Stream{s}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
-	if _, err := RunSMT(SegmentedConfig(64, 0, false, false), []string{"nope"}, 1, 10, 0); err == nil {
+	if _, err := runSMT(SegmentedConfig(64, 0, false, false), []string{"nope"}, 1, 10, 0); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
-	p := MustNewSMT(SegmentedConfig(128, 64, false, false), []trace.Stream{s})
+	p := mustEngine(SegmentedConfig(128, 64, false, false), s)
 	if _, err := p.Run(0); err == nil {
 		t.Fatal("zero budget accepted")
 	}
@@ -30,11 +30,11 @@ func TestSMTSingleThreadMatchesShape(t *testing.T) {
 	// full resources; its IPC should be in the same ballpark as the
 	// single-threaded machine on the same workload.
 	cfg := SegmentedConfig(128, 64, true, true)
-	st, err := RunWorkloadWarm(cfg, "vortex", 1, 6000, 50_000)
+	st, err := runWarm(cfg, "vortex", 1, 6000, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	smt, err := RunSMT(cfg, []string{"vortex"}, 1, 6000, 50_000)
+	smt, err := runSMT(cfg, []string{"vortex"}, 1, 6000, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,15 +50,15 @@ func TestSMTThroughputExceedsSingleThread(t *testing.T) {
 	// thread alone.
 	cfg := SegmentedConfig(256, 128, true, true)
 	const n, warm = 10_000, 100_000
-	a, err := RunWorkloadWarm(cfg, "twolf", 1, n, warm)
+	a, err := runWarm(cfg, "twolf", 1, n, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunWorkloadWarm(cfg, "gcc", 2, n, warm)
+	b, err := runWarm(cfg, "gcc", 2, n, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	smt, err := RunSMT(cfg, []string{"twolf", "gcc"}, 1, 2*n, warm)
+	smt, err := runSMT(cfg, []string{"twolf", "gcc"}, 1, 2*n, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSMTThroughputExceedsSingleThread(t *testing.T) {
 
 func TestSMTPerThreadStats(t *testing.T) {
 	cfg := SegmentedConfig(128, 64, false, false)
-	r, err := RunSMT(cfg, []string{"gcc", "vortex"}, 1, 6000, 50_000)
+	r, err := runSMT(cfg, []string{"gcc", "vortex"}, 1, 6000, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSMTRegisterNamespacesIsolated(t *testing.T) {
 	// other. A collision would show up as wrong chain assignments and, on
 	// this chain-heavy workload, wedges or wild IPC swings.
 	cfg := SegmentedConfig(256, 0, false, false)
-	r, err := RunSMT(cfg, []string{"equake", "equake"}, 1, 12_000, 100_000)
+	r, err := runSMT(cfg, []string{"equake", "equake"}, 1, 12_000, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSMTWithOtherQueues(t *testing.T) {
 		PrescheduledConfig(128),
 		FIFOConfig(128),
 	} {
-		r, err := RunSMT(cfg, []string{"gcc", "vortex"}, 1, 4000, 40_000)
+		r, err := runSMT(cfg, []string{"gcc", "vortex"}, 1, 4000, 40_000)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Queue, err)
 		}

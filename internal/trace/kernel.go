@@ -184,9 +184,12 @@ func (g *kernelGen) Next() (isa.Inst, bool) {
 	if g.pos >= len(g.buf) {
 		g.fill()
 	}
-	in := g.buf[g.pos]
+	// Advance first and return the element directly: copying it into a
+	// local before the increment makes the compiler stage it through two
+	// stack temporaries, and that copy's cost swung by a third with code
+	// placement elsewhere in the binary.
 	g.pos++
-	return in, true
+	return g.buf[g.pos-1], true
 }
 
 // fill runs the template from the first block until control transfers back

@@ -88,12 +88,12 @@ func Distance(totalSlots int) Config { return sim.DistanceConfig(totalSlots) }
 // instructions to install cache lines and train the branch structures.
 // Runs are deterministic in (cfg, workload, seed, n, warm).
 func Run(cfg Config, workload string, seed uint64, n, warm int64) (*Result, error) {
-	return sim.RunWorkloadWarm(cfg, workload, seed, n, warm)
+	return sim.RunContexts(cfg, []sim.ContextSpec{{Workload: workload, Seed: seed, Warm: warm}}, n)
 }
 
 // SMTResult reports a simultaneous-multithreading run: aggregate
-// throughput plus per-context retirement counts.
-type SMTResult = sim.SMTResult
+// throughput plus per-context retirement counts (Result.PerThread).
+type SMTResult = sim.Result
 
 // RunSMT simulates the §7 future-work machine: the configured queue,
 // function units and memory hierarchy shared by one hardware context per
@@ -101,7 +101,11 @@ type SMTResult = sim.SMTResult
 // committed-instruction budget across contexts; each context is
 // fast-forwarded warm instructions first. Context i uses seed+i.
 func RunSMT(cfg Config, workloads []string, seed uint64, n, warm int64) (*SMTResult, error) {
-	return sim.RunSMT(cfg, workloads, seed, n, warm)
+	specs := make([]sim.ContextSpec, len(workloads))
+	for i, w := range workloads {
+		specs[i] = sim.ContextSpec{Workload: w, Seed: seed + uint64(i), Warm: warm}
+	}
+	return sim.RunContexts(cfg, specs, n)
 }
 
 // Workloads returns the eight SPEC CPU2000-like workload names of the
@@ -110,7 +114,7 @@ func RunSMT(cfg Config, workloads []string, seed uint64, n, warm int64) (*SMTRes
 func Workloads() []string { return trace.Names() }
 
 // Workload builds the named workload's instruction stream directly, for
-// callers that drive sim.Processor (or their own tooling) by hand.
+// callers that drive a sim.Engine (or their own tooling) by hand.
 func Workload(name string, seed uint64) (trace.Stream, error) {
 	return trace.New(name, seed)
 }
@@ -130,12 +134,11 @@ func NewWorkloadBuilder(name string, pcBase uint64) *WorkloadBuilder {
 // example, one built with NewWorkloadBuilder) on the configured machine,
 // fast-forwarding warm instructions first.
 func RunStream(cfg Config, s trace.Stream, n, warm int64) (*Result, error) {
-	p, err := sim.New(cfg, s)
+	streams := []trace.Stream{s}
+	e, err := sim.NewEngine(cfg, streams)
 	if err != nil {
 		return nil, err
 	}
-	if warm > 0 {
-		p.Warm(s, warm)
-	}
-	return p.Run(n)
+	e.Warm(streams, warm)
+	return e.Run(n)
 }
