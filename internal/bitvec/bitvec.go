@@ -73,6 +73,28 @@ func NextSet(w []uint64, i int) int {
 	}
 }
 
+// PrevSet returns the index of the last set bit at or before i, or -1.
+// i must lie within the set's capacity.
+func PrevSet(w []uint64, i int) int {
+	if i < 0 {
+		return -1
+	}
+	k := i >> 6
+	// Mask off bits above i in the first word (at bit 63 the shift wraps
+	// to 0 and the mask to all ones).
+	x := w[k] & (2<<(uint(i)&63) - 1)
+	for {
+		if x != 0 {
+			return k<<6 + 63 - bits.LeadingZeros64(x)
+		}
+		k--
+		if k < 0 {
+			return -1
+		}
+		x = w[k]
+	}
+}
+
 // Insert shifts bits at positions >= i up by one and sets bit i to v
 // (mirrors inserting an element at position i of a position-indexed
 // sequence). The top bit of the last word is discarded; callers size the

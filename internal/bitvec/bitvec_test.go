@@ -37,6 +37,15 @@ func (m model) nextSet(i int) int {
 	return -1
 }
 
+func (m model) prevSet(i int) int {
+	for ; i >= 0; i-- {
+		if m[i] {
+			return i
+		}
+	}
+	return -1
+}
+
 type rng struct{ s uint64 }
 
 func (r *rng) next() uint64 {
@@ -74,6 +83,11 @@ func TestAgainstModel(t *testing.T) {
 		for i := 0; i <= len(m); i++ {
 			if got, want := NextSet(w, i), m.nextSet(i); got != want {
 				t.Fatalf("step %d: NextSet(%d) = %d, want %d", step, i, got, want)
+			}
+		}
+		for i := -1; i < len(m); i++ {
+			if got, want := PrevSet(w, i), m.prevSet(i); got != want {
+				t.Fatalf("step %d: PrevSet(%d) = %d, want %d", step, i, got, want)
 			}
 		}
 	}

@@ -101,7 +101,7 @@ type DistIQ struct {
 	freeT      []int32    // ticket freelist (LIFO)
 	recheckW   []uint64   // by ticket: re-evaluate at next BeginCycle
 	wt         iq.Waiters // by ticket: parked on a producer
-	unresolved []*uop.UOp // issued producers whose Complete is still pending
+	unresolved []*uop.UOp // issued non-loads whose Complete is still pending (loads: NotifyLoadComplete)
 	wakeBuf    []int32    // scratch for WakeAll
 
 	stDispatched stats.Counter
@@ -449,7 +449,7 @@ func (q *DistIQ) Issue(cycle int64, max int, tryIssue func(*uop.UOp) bool) []*uo
 		if len(out) < max && u.DispatchCycle < cycle && u.IssueReady(cycle) && tryIssue(u) {
 			u.IssueCycle = cycle
 			out = append(out, u)
-			if u.Inst.HasDest() {
+			if u.Inst.HasDest() && !u.IsLoad() {
 				q.unresolved = append(q.unresolved, u)
 			}
 			continue

@@ -77,9 +77,10 @@ type FIFOIQ struct {
 	readyW []uint64 // per-FIFO: head exposed and issue-ready
 	sb     iq.Scoreboard
 
-	// unresolved holds issued producers whose completion time was still
-	// unknown when they left the queue; the next cycle re-checks them
-	// (the execution core stamps Complete right after Issue returns).
+	// unresolved holds issued non-load producers whose completion time
+	// was still unknown when they left the queue; the next cycle re-checks
+	// them (the execution core stamps Complete right after Issue returns).
+	// A load's completion arrives with NotifyLoadComplete.
 	unresolved []*uop.UOp
 
 	// Reused per-cycle scratch: candidate heads and Issue's result (the
@@ -266,7 +267,7 @@ func (q *FIFOIQ) Issue(cycle int64, max int, tryIssue func(*uop.UOp) bool) []*uo
 		if len(f) > 0 {
 			q.trackHead(c.fifo, f[0], cycle)
 		}
-		if c.u.Inst.HasDest() {
+		if c.u.Inst.HasDest() && !c.u.IsLoad() {
 			q.unresolved = append(q.unresolved, c.u)
 		}
 		out = append(out, c.u)

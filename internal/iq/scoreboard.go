@@ -1,6 +1,8 @@
 package iq
 
 import (
+	"fmt"
+
 	"repro/internal/uop"
 )
 
@@ -19,22 +21,25 @@ func IssueGate(u *uop.UOp, j int) *uop.UOp {
 const none int32 = -1
 
 // waiterTable indexes parked consumers by the producer they are waiting
-// on: a map from producer to the head of an intrusive doubly-linked chain
-// of handles. Handles are small caller-owned integers (queue slots,
-// buffer tickets, entry ids). The table allocates nothing in steady state
-// beyond the map's own high-water bucket storage.
+// on: each producer heads an intrusive doubly-linked chain of handles,
+// and the head lives in the producer itself (uop.UOp.WaitHead, the head
+// handle plus one), so parking, unparking and waking touch no map.
+// Handles are small caller-owned integers (queue slots, buffer tickets,
+// entry ids). The table allocates nothing in steady state.
+//
+// Keeping the head in the producer is sound because a uop's waiters live
+// in exactly one table: consumers are dispatched into the queue their
+// producer was dispatched into, each engine has one queue, and each queue
+// has one waiter table.
 type waiterTable struct {
-	heads map[*uop.UOp]int32
 	// Per-handle chain state, indexed by handle.
 	watching   []*uop.UOp // producer the handle is parked on (nil: not parked)
 	next, prev []int32
+	chains     int // producers whose chain is non-empty
 }
 
 // grow sizes the per-handle arrays for handles [0, n).
 func (w *waiterTable) grow(n int) {
-	if w.heads == nil {
-		w.heads = make(map[*uop.UOp]int32)
-	}
 	for len(w.watching) < n {
 		w.watching = append(w.watching, nil)
 		w.next = append(w.next, none)
@@ -44,16 +49,16 @@ func (w *waiterTable) grow(n int) {
 
 // park links handle h onto p's waiter chain. h must not be parked.
 func (w *waiterTable) park(h int32, p *uop.UOp) {
-	head, ok := w.heads[p]
+	head := p.WaitHead - 1
 	w.watching[h] = p
 	w.prev[h] = none
-	if ok {
-		w.next[h] = head
+	w.next[h] = head
+	if head != none {
 		w.prev[head] = h
 	} else {
-		w.next[h] = none
+		w.chains++
 	}
-	w.heads[p] = h
+	p.WaitHead = h + 1
 }
 
 // unpark removes h from its chain; a no-op if h is not parked.
@@ -66,10 +71,11 @@ func (w *waiterTable) unpark(h int32) {
 	nx, pv := w.next[h], w.prev[h]
 	if pv != none {
 		w.next[pv] = nx
-	} else if nx != none {
-		w.heads[p] = nx
 	} else {
-		delete(w.heads, p)
+		p.WaitHead = nx + 1
+		if nx == none {
+			w.chains--
+		}
 	}
 	if nx != none {
 		w.prev[nx] = pv
@@ -77,13 +83,15 @@ func (w *waiterTable) unpark(h int32) {
 	w.next[h], w.prev[h] = none, none
 }
 
-// wakeAll unparks every handle waiting on p and appends them to buf.
+// wakeAll unparks every handle waiting on p and appends them to buf. A
+// nil p has no waiters.
 func (w *waiterTable) wakeAll(p *uop.UOp, buf []int32) []int32 {
-	head, ok := w.heads[p]
-	if !ok {
+	if p == nil || p.WaitHead == 0 {
 		return buf
 	}
-	delete(w.heads, p)
+	head := p.WaitHead - 1
+	p.WaitHead = 0
+	w.chains--
 	for h := head; h != none; {
 		nx := w.next[h]
 		w.watching[h] = nil
@@ -94,21 +102,71 @@ func (w *waiterTable) wakeAll(p *uop.UOp, buf []int32) []int32 {
 	return buf
 }
 
-// clone deep-copies the table, remapping producers through m.
+// clone deep-copies the table, remapping producers through m. The chain
+// heads travel with the producers: CloneMap.Get copies WaitHead.
 func (w *waiterTable) clone(m *uop.CloneMap) waiterTable {
 	n := waiterTable{
-		heads: make(map[*uop.UOp]int32, len(w.heads)),
-		next:  append([]int32(nil), w.next...),
-		prev:  append([]int32(nil), w.prev...),
+		watching: make([]*uop.UOp, len(w.watching)),
+		next:     append([]int32(nil), w.next...),
+		prev:     append([]int32(nil), w.prev...),
+		chains:   w.chains,
 	}
-	for p, h := range w.heads {
-		n.heads[m.Get(p)] = h
-	}
-	n.watching = make([]*uop.UOp, len(w.watching))
 	for i, p := range w.watching {
 		n.watching[i] = m.Get(p)
 	}
 	return n
+}
+
+// check verifies the chains against the producers that head them: every
+// parked handle is reached from its producer's WaitHead through
+// consistent links, and the chain count matches.
+func (w *waiterTable) check() error {
+	walked := make(map[*uop.UOp]bool)
+	parked, reached := 0, 0
+	for h, p := range w.watching {
+		if p == nil {
+			continue
+		}
+		parked++
+		if walked[p] {
+			continue
+		}
+		walked[p] = true
+		if p.WaitHead == 0 {
+			return fmt.Errorf("handle %d is parked on seq %d, which heads no chain", h, p.Seq)
+		}
+		prev := none
+		for x := p.WaitHead - 1; x != none; prev, x = x, w.next[x] {
+			if x < 0 || int(x) >= len(w.watching) || w.watching[x] != p {
+				return fmt.Errorf("chain of seq %d reaches handle %d, not parked on it", p.Seq, x)
+			}
+			if w.prev[x] != prev {
+				return fmt.Errorf("chain of seq %d: handle %d links back to %d, want %d", p.Seq, x, w.prev[x], prev)
+			}
+			if reached++; reached > parked+len(w.watching) {
+				return fmt.Errorf("chain of seq %d does not terminate", p.Seq)
+			}
+		}
+	}
+	if reached != parked {
+		return fmt.Errorf("chains reach %d handles, %d are parked", reached, parked)
+	}
+	if len(walked) != w.chains {
+		return fmt.Errorf("%d producers head chains, the table counts %d", len(walked), w.chains)
+	}
+	return nil
+}
+
+// checkHead verifies that u heads no chain, or one whose head handle is
+// parked on u (and so was walked by check). A nil u passes.
+func (w *waiterTable) checkHead(u *uop.UOp) error {
+	if u == nil || u.WaitHead == 0 {
+		return nil
+	}
+	if h := u.WaitHead - 1; h < 0 || int(h) >= len(w.watching) || w.watching[h] != u {
+		return fmt.Errorf("seq %d heads a chain at handle %d, which is not parked on it", u.Seq, h)
+	}
+	return nil
 }
 
 // Waiters exposes the producer→waiter chains on their own, for
@@ -135,7 +193,7 @@ func (w *Waiters) Unpark(h int32) { w.wt.unpark(h) }
 func (w *Waiters) WakeAll(p *uop.UOp, buf []int32) []int32 { return w.wt.wakeAll(p, buf) }
 
 // Pending reports whether any handle is parked (test hook).
-func (w *Waiters) Pending() bool { return len(w.wt.heads) > 0 }
+func (w *Waiters) Pending() bool { return w.wt.chains > 0 }
 
 // Clone deep-copies the table with producers remapped through m.
 func (w *Waiters) Clone(m *uop.CloneMap) Waiters { return Waiters{wt: w.wt.clone(m)} }
@@ -162,7 +220,9 @@ type wheelItem struct {
 //
 // Handles are caller-owned small integers; a handle must be Untracked
 // before it is reused. All returned slices are scratch owned by the
-// scoreboard, valid until the next call.
+// scoreboard, valid until the next call. Waiter chains are headed in the
+// producers (uop.UOp.WaitHead), so a queue keeps one waiter table — one
+// Scoreboard or one Waiters — for every instruction dispatched into it.
 type Scoreboard struct {
 	wt    waiterTable
 	held  []*uop.UOp // per handle: the tracked instruction
@@ -254,7 +314,14 @@ func (s *Scoreboard) Due(now int64) []int32 {
 }
 
 // Pending reports whether any handle is parked or scheduled (test hook).
-func (s *Scoreboard) Pending() bool { return len(s.wt.heads) > 0 || len(s.wheel) > 0 }
+func (s *Scoreboard) Pending() bool { return s.wt.chains > 0 || len(s.wheel) > 0 }
+
+// CheckChains verifies the waiter chains against the producers heading
+// them (test hook).
+func (s *Scoreboard) CheckChains() error { return s.wt.check() }
+
+// CheckHead verifies that u heads no stale chain (test hook).
+func (s *Scoreboard) CheckHead(u *uop.UOp) error { return s.wt.checkHead(u) }
 
 // Clone deep-copies the scoreboard with instructions remapped through m.
 // Scratch storage is not carried over.

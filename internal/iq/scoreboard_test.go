@@ -186,3 +186,87 @@ func TestScoreboardClone(t *testing.T) {
 		t.Fatalf("clone Due = %v", got)
 	}
 }
+
+// parkChains parks handles 0..7 of a table on three producers, round
+// robin, then drops handle 4 from the middle of its chain. Each test
+// gets its own producers: a producer's chain head belongs to one table.
+func parkChains(park func(h int32, p *uop.UOp), unpark func(h int32)) []*uop.UOp {
+	prods := []*uop.UOp{sbAlu(0), sbAlu(1), sbAlu(2)}
+	for h := int32(0); h < 8; h++ {
+		park(h, prods[h%3])
+	}
+	unpark(4)
+	return prods
+}
+
+// wakeTwins wakes each producer in the original table and then its clone
+// in the cloned one; both must hand back the same handles, and waking
+// one table must leave the other's chains intact.
+func wakeTwins(t *testing.T, prods []*uop.UOp, m *uop.CloneMap,
+	wake, wakeClone func(p *uop.UOp) []int32, check, checkClone func() error) {
+	t.Helper()
+	clones := make([]*uop.UOp, len(prods))
+	for i, p := range prods {
+		clones[i] = m.Get(p)
+	}
+	if err := checkClone(); err != nil {
+		t.Fatalf("clone before any wake: %v", err)
+	}
+	for i, p := range prods {
+		p.Complete, clones[i].Complete = 1, 1
+		got := append([]int32(nil), wake(p)...)
+		if err := checkClone(); err != nil {
+			t.Fatalf("clone after waking original producer %d: %v", i, err)
+		}
+		if clones[i].WaitHead == 0 {
+			t.Fatalf("waking original producer %d emptied the clone's chain", i)
+		}
+		gotClone := wakeClone(clones[i])
+		if err := check(); err != nil {
+			t.Fatalf("original after waking clone producer %d: %v", i, err)
+		}
+		if len(got) != len(gotClone) || len(got) == 0 {
+			t.Fatalf("producer %d: original woke %v, clone %v", i, got, gotClone)
+		}
+		for j := range got {
+			if got[j] != gotClone[j] || got[j] == 4 {
+				t.Fatalf("producer %d: original woke %v, clone %v", i, got, gotClone)
+			}
+		}
+	}
+}
+
+func TestScoreboardChainsAcrossClone(t *testing.T) {
+	var s Scoreboard
+	s.Grow(8)
+	prods := parkChains(func(h int32, p *uop.UOp) {
+		c := sbAlu(int64(10 + h))
+		c.Prod[0] = p
+		s.Track(h, c, 0)
+	}, s.Untrack)
+	m := uop.NewCloneMap()
+	cs := s.Clone(m)
+	wakeTwins(t, prods, m,
+		func(p *uop.UOp) []int32 { return s.Wake(p, 1) },
+		func(p *uop.UOp) []int32 { return cs.Wake(p, 1) },
+		s.CheckChains, cs.CheckChains)
+	if s.Pending() || cs.Pending() {
+		t.Fatal("both scoreboards should be drained")
+	}
+}
+
+func TestWaitersChainsAcrossClone(t *testing.T) {
+	var w Waiters
+	w.Grow(8)
+	prods := parkChains(w.Park, w.Unpark)
+	m := uop.NewCloneMap()
+	cw := w.Clone(m)
+	var buf, cbuf []int32
+	wakeTwins(t, prods, m,
+		func(p *uop.UOp) []int32 { buf = w.WakeAll(p, buf[:0]); return buf },
+		func(p *uop.UOp) []int32 { cbuf = cw.WakeAll(p, cbuf[:0]); return cbuf },
+		w.wt.check, cw.wt.check)
+	if w.Pending() || cw.Pending() {
+		t.Fatal("both tables should be drained")
+	}
+}

@@ -23,6 +23,8 @@ func (q *PreschedIQ) Clone(m *uop.CloneMap) iq.Queue {
 		}
 		n.lines[r] = nr
 	}
+	n.rowMin = append([]int64(nil), q.rowMin...)
+	n.openW = append([]uint64(nil), q.openW...)
 	n.buf = make([]*uop.UOp, len(q.buf))
 	for i, u := range q.buf {
 		n.buf[i] = m.Get(u)

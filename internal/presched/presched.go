@@ -13,6 +13,7 @@ package presched
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/bitvec"
@@ -77,16 +78,23 @@ type availEntry struct {
 // in Issue and the camper pick in recycleCampers test one bit instead of
 // re-evaluating the entry's operands, and the unreadiness statistic is a
 // popcount.
+//
+// Two per-row indexes keep the scheduling array's searches off its
+// contents: rowMin finds the oldest array instruction without walking
+// every row, and openW lets placement skip full rows without probing
+// them.
 type PreschedIQ struct {
-	cfg   Config
-	lines [][]*uop.UOp // ring buffer of rows
-	head  int          // index of the oldest row
-	base  int64        // predicted-ready cycle of the oldest row
-	buf   []*uop.UOp   // issue buffer
-	bufAt []int64      // cycle each buffer entry arrived (parallel to buf)
-	bufH  []int32      // scoreboard ticket of each entry (parallel to buf)
-	total int
-	now   int64 // current cycle; clocks wakeup deliveries
+	cfg    Config
+	lines  [][]*uop.UOp // ring buffer of rows
+	rowMin []int64      // per physical row: smallest Seq in it (math.MaxInt64: empty)
+	openW  []uint64     // per physical row: fewer than LineWidth entries
+	head   int          // index of the oldest row
+	base   int64        // predicted-ready cycle of the oldest row
+	buf    []*uop.UOp   // issue buffer
+	bufAt  []int64      // cycle each buffer entry arrived (parallel to buf)
+	bufH   []int32      // scoreboard ticket of each entry (parallel to buf)
+	total  int
+	now    int64 // current cycle; clocks wakeup deliveries
 
 	tslot  []*uop.UOp // ticket -> buffer instruction
 	free   []int32    // free tickets (LIFO)
@@ -94,9 +102,10 @@ type PreschedIQ struct {
 	storeW []uint64   // ticket-indexed: buffered stores (Ready-stat correction)
 	sb     iq.Scoreboard
 
-	// unresolved holds issued producers whose completion time was still
-	// unknown when they left the queue; the next cycle re-checks them
-	// (the execution core stamps Complete right after Issue returns).
+	// unresolved holds issued non-load producers whose completion time
+	// was still unknown when they left the queue; the next cycle re-checks
+	// them (the execution core stamps Complete right after Issue returns).
+	// A load's completion arrives with NotifyLoadComplete.
 	unresolved []*uop.UOp
 
 	outScratch []*uop.UOp // backs Issue's result; reused every cycle
@@ -126,6 +135,8 @@ func New(cfg Config) (*PreschedIQ, error) {
 	q := &PreschedIQ{
 		cfg:    cfg,
 		lines:  make([][]*uop.UOp, cfg.Lines),
+		rowMin: make([]int64, cfg.Lines),
+		openW:  bitvec.New(cfg.Lines),
 		avail:  make([]availEntry, threads*isa.NumRegs),
 		base:   0,
 		tslot:  make([]*uop.UOp, cfg.IssueBuffer),
@@ -136,8 +147,84 @@ func New(cfg Config) (*PreschedIQ, error) {
 	for i := range q.free {
 		q.free[i] = int32(cfg.IssueBuffer - 1 - i)
 	}
+	for r := range q.rowMin {
+		q.rowMin[r] = math.MaxInt64
+		bitvec.Set(q.openW, r)
+	}
 	q.sb.Grow(cfg.IssueBuffer)
 	return q, nil
+}
+
+// push appends u to physical row r, keeping the row's minimum and open
+// bit current. The row must be open.
+func (q *PreschedIQ) push(r int, u *uop.UOp) {
+	q.lines[r] = append(q.lines[r], u)
+	if u.Seq < q.rowMin[r] {
+		q.rowMin[r] = u.Seq
+	}
+	if len(q.lines[r]) == q.cfg.LineWidth {
+		bitvec.Clear(q.openW, r)
+	}
+}
+
+// refresh recomputes physical row r's minimum and open bit after
+// entries left it: at most LineWidth entries, never the whole array.
+func (q *PreschedIQ) refresh(r int) {
+	m := int64(math.MaxInt64)
+	for _, x := range q.lines[r] {
+		if x.Seq < m {
+			m = x.Seq
+		}
+	}
+	q.rowMin[r] = m
+	bitvec.Assign(q.openW, r, len(q.lines[r]) < q.cfg.LineWidth)
+}
+
+// firstOpen returns the physical row of the first open row at offsets
+// lo, lo+1, ..., hi-1 from the head, or -1: the ascending search, taken
+// over the open-row bits in at most two runs of the ring.
+func (q *PreschedIQ) firstOpen(lo, hi int) int {
+	if lo >= hi {
+		return -1
+	}
+	n := q.cfg.Lines
+	s, e := (q.head+lo)%n, q.head+hi
+	if e > n && s >= q.head {
+		// The range wraps: [s, n) first, then [0, e-n).
+		if r := bitvec.NextSet(q.openW, s); r >= 0 {
+			return r
+		}
+		s, e = 0, e-n
+	} else if e > n {
+		e -= n
+	}
+	if r := bitvec.NextSet(q.openW, s); r >= 0 && r < e {
+		return r
+	}
+	return -1
+}
+
+// lastOpen returns the physical row of the first open row at offsets
+// hi-1, hi-2, ..., lo from the head, or -1: the descending search.
+func (q *PreschedIQ) lastOpen(lo, hi int) int {
+	if lo >= hi {
+		return -1
+	}
+	n := q.cfg.Lines
+	t, s := (q.head+hi-1)%n, q.head+lo
+	if s < n && t < q.head {
+		// The range wraps: [0, t] first, then [s, n).
+		if r := bitvec.PrevSet(q.openW, t); r >= 0 {
+			return r
+		}
+		t = n - 1
+	} else if s >= n {
+		s -= n
+	}
+	if r := bitvec.PrevSet(q.openW, t); r >= s {
+		return r
+	}
+	return -1
 }
 
 // availRow returns a thread's availability-table entry for reg.
@@ -247,6 +334,7 @@ func (q *PreschedIQ) BeginCycle(cycle int64) {
 		}
 		if moved > 0 {
 			q.lines[q.head] = append(row[:0], row[moved:]...)
+			q.refresh(q.head)
 		}
 		if len(q.lines[q.head]) == 0 {
 			q.lines[q.head] = nil
@@ -283,10 +371,8 @@ func (q *PreschedIQ) BeginCycle(cycle int64) {
 // pending re-check. Buffered campers parked on unresolved producers wake
 // via events the engine bounds the skip window by.
 func (q *PreschedIQ) Quiescent(cycle int64) bool {
-	for _, row := range q.lines {
-		if len(row) > 0 {
-			return false
-		}
+	if q.total > len(q.buf) {
+		return false
 	}
 	for _, w := range q.readyW {
 		if w != 0 {
@@ -369,16 +455,11 @@ func (q *PreschedIQ) recycleCampers(cycle int64, need int) {
 		if idx < 1 {
 			idx = 1 // never into the head row: it is what we are draining
 		}
-		placed := -1
-		for k := idx; k < q.cfg.Lines && placed < 0; k++ {
-			if slot := (q.head + k) % q.cfg.Lines; len(q.lines[slot]) < q.cfg.LineWidth {
-				placed = slot
-			}
-		}
-		for k := idx - 1; k >= 1 && placed < 0; k-- {
-			if slot := (q.head + k) % q.cfg.Lines; len(q.lines[slot]) < q.cfg.LineWidth {
-				placed = slot
-			}
+		// Search the rows at and after the target first, then back
+		// towards (never into) the head row.
+		placed := q.firstOpen(idx, q.cfg.Lines)
+		if placed < 0 {
+			placed = q.lastOpen(1, idx)
 		}
 		if placed < 0 {
 			// Array completely full: swap the camper with the globally
@@ -386,27 +467,34 @@ func (q *PreschedIQ) recycleCampers(cycle int64, need int) {
 			// slot, the oldest instruction is the one whose completion
 			// unblocks the machine (it is the ROB head or feeds it), and
 			// the camper takes its slot — guaranteed forward progress
-			// even when every structure is full.
-			oldRow, oldIdx := -1, -1
-			var oldest *uop.UOp
-			for r := 0; r < q.cfg.Lines; r++ {
-				for i, x := range q.lines[r] {
-					if oldest == nil || x.Seq < oldest.Seq {
-						oldest, oldRow, oldIdx = x, r, i
-					}
+			// even when every structure is full. The row minima find it
+			// without walking the array (Seq is unique, so the row and
+			// index are the ones a row-major walk would pick).
+			oldRow, oldSeq := -1, int64(math.MaxInt64)
+			for r, m := range q.rowMin {
+				if m < oldSeq {
+					oldRow, oldSeq = r, m
 				}
 			}
-			if oldest == nil {
+			if oldRow < 0 {
 				// No array instructions at all: give up (cannot happen
 				// while placement fails, but stay safe).
 				q.bufEnter(u, cycle)
 				return
 			}
-			q.lines[oldRow] = append(q.lines[oldRow][:oldIdx], q.lines[oldRow][oldIdx+1:]...)
+			row := q.lines[oldRow]
+			oldIdx := 0
+			for row[oldIdx].Seq != oldSeq {
+				oldIdx++
+			}
+			oldest := row[oldIdx]
+			row = append(row[:oldIdx], row[oldIdx+1:]...)
+			q.lines[oldRow] = append(row, u)
+			q.refresh(oldRow)
 			q.bufEnter(oldest, cycle)
-			placed = oldRow
+		} else {
+			q.push(placed, u)
 		}
-		q.lines[placed] = append(q.lines[placed], u)
 		q.stRecycled.Inc()
 	}
 }
@@ -428,7 +516,7 @@ func (q *PreschedIQ) Issue(cycle int64, max int, tryIssue func(*uop.UOp) bool) [
 			u.IssueCycle = cycle
 			out = append(out, u)
 			q.bufLeave(q.bufH[i])
-			if u.Inst.HasDest() {
+			if u.Inst.HasDest() && !u.IsLoad() {
 				q.unresolved = append(q.unresolved, u)
 			}
 			continue
@@ -489,20 +577,13 @@ func (q *PreschedIQ) Dispatch(cycle int64, u *uop.UOp) bool {
 	if idx >= q.cfg.Lines {
 		idx = q.cfg.Lines - 1
 	}
-	placed := -1
-	for k := idx; k < q.cfg.Lines; k++ {
-		slot := (q.head + k) % q.cfg.Lines
-		if len(q.lines[slot]) < q.cfg.LineWidth {
-			placed = slot
-			break
-		}
-	}
+	placed := q.firstOpen(idx, q.cfg.Lines)
 	if placed < 0 {
 		q.stStallFull.Inc()
 		return false
 	}
 	u.DispatchCycle = cycle
-	q.lines[placed] = append(q.lines[placed], u)
+	q.push(placed, u)
 	q.total++
 	q.stDispatched.Inc()
 	q.dem.Observe(cycle, int64(q.total))
@@ -561,21 +642,3 @@ func (q *PreschedIQ) CollectStats(s *stats.Set) {
 }
 
 var _ iq.Queue = (*PreschedIQ)(nil)
-
-// DebugLocate reports where a uop currently resides: "buffer", a row
-// offset like "row+3", or "absent". Diagnostic use only.
-func (q *PreschedIQ) DebugLocate(u *uop.UOp) string {
-	for _, x := range q.buf {
-		if x == u {
-			return "buffer"
-		}
-	}
-	for k := 0; k < q.cfg.Lines; k++ {
-		for _, x := range q.lines[(q.head+k)%q.cfg.Lines] {
-			if x == u {
-				return fmt.Sprintf("row+%d (base=%d)", k, q.base)
-			}
-		}
-	}
-	return "absent"
-}

@@ -49,6 +49,13 @@ type UOp struct {
 	EADone int64
 	// MemKind records how the memory system serviced a load.
 	MemKind int8
+	// WaitHead is the head of the chain of queue consumers parked on
+	// this instruction's result: the handle plus one of the most
+	// recently parked consumer, 0 for none. It belongs to the waiter
+	// table (iq.Scoreboard, iq.Waiters) of the one queue the instruction
+	// was dispatched into; nothing else reads or writes it. It sits in
+	// MemKind's padding so the struct stays 176 bytes.
+	WaitHead int32
 	// RejGen memoises an MSHR-file rejection: the cache's acceptance
 	// generation (mem.Cache.AcceptGen) when this load's access was last
 	// rejected. While the generation is unchanged the cache cannot

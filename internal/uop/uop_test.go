@@ -3,6 +3,7 @@ package uop
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/isa"
 )
@@ -103,5 +104,13 @@ func TestString(t *testing.T) {
 	u := New(42, isa.Inst{PC: 0x40, Class: isa.IntAlu, Src1: 1, Src2: 2, Dest: 3})
 	if s := u.String(); !strings.Contains(s, "#42") {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// The waiter-chain head sits in MemKind's padding; a field appended
+// instead would push UOp from the 176-byte into the 192-byte size class.
+func TestUOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(UOp{}); n > 176 {
+		t.Fatalf("unsafe.Sizeof(UOp{}) = %d, want at most 176", n)
 	}
 }
