@@ -7,10 +7,9 @@
 //
 // Every experiment is one entry of the experiments package's registry,
 // and every mode reads that table: a direct run is RunShard(0,1)
-// followed by the same render -merge prints, so -shard, -merge, -coord
-// and -worker work alike for all of them. Without -out, -shard and
-// -merge write the JSON to stdout and their summaries and tables to
-// stderr.
+// followed by the same render -merge prints, so -shard and -merge work
+// alike for all of them. Without -out, -shard and -merge write the JSON
+// to stdout and their summaries and tables to stderr.
 //
 // Examples:
 //
@@ -21,8 +20,9 @@
 //	iqbench -experiment smt         # SMT matrix: context sets × designs × 2/4 contexts
 //	iqbench -experiment smt -benchmarks swim+twolf,mgrid+gcc
 //
-// Sweeps can reuse warmups across processes and spread a grid over
-// machines:
+// One process runs its grid on an in-process pool of -parallel
+// simulations. Sweeps can reuse warmups across processes, and a static
+// -shard split spreads one grid over several hosts:
 //
 //	iqbench -ckpt-dir .ckpt -experiment table2      # warm once ever, fork after
 //	iqbench -experiment table2 -shard 0/2 -out s0.json
@@ -32,20 +32,8 @@
 // Shards that see one directory share warmups by passing it as
 // -ckpt-dir. The cache is strictly an accelerator: if the directory is
 // unreadable or unwritable, shards warm locally and finish with
-// identical results.
-//
-// A coordinator replaces the static -shard split with leased jobs:
-// one host enumerates the grid, workers pull cost-ordered batches and
-// upload results, crashed workers' leases expire back into the queue,
-// and completed fragments are spooled so a coordinator restart loses
-// nothing. The merged output is byte-identical to the single-process
-// run:
-//
-//	iqbench -coord :8377 -experiment table2 -out merged.json   # on one host
-//	iqbench -worker -coord-url http://host:8377                # on each worker
-//
-// Workers keep their warmups in memory; -ckpt-dir is rejected with
-// -coord, -worker and -merge, none of which uses the checkpoint cache.
+// identical results. -ckpt-dir is rejected with -merge, which only
+// reads shard files.
 package main
 
 import (
@@ -54,13 +42,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/coord"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 )
@@ -81,19 +67,13 @@ func main() {
 		prescreenAudit = flag.Int("prescreen-audit", 24, "seeded-random grid points simulated per workload regardless of the frontier prediction, to measure estimator error")
 		prescreenSlack = flag.Float64("prescreen-slack", 0.05, "frontier safety margin: points predicted within this fraction of their entries-group's best are simulated too")
 		prescreenCheck = flag.Float64("prescreen-check", 0, "exit non-zero when the pooled audit rank correlation falls below this threshold (0 = report only); the screening contract is 0.8")
-		coordServe     = flag.String("coord", "", "serve a sweep coordinator at this address (e.g. :8377): enumerate the -experiment grid, lease jobs to -worker processes, accumulate their fragments, and write the merged JSON to -out when the grid completes")
-		coordSpool     = flag.String("coord-spool", ".coord-spool", "directory where the coordinator durably spools completed fragments; a restarted coordinator over the same spool resumes without re-simulating finished jobs")
-		coordLease     = flag.Duration("coord-lease", coord.DefaultLeaseTTL, "lease TTL for coordinator jobs; a worker that stops renewing for this long has its jobs re-queued")
-		workerMode     = flag.Bool("worker", false, "run as a sweep worker: pull leased jobs from the -coord-url coordinator, simulate them, upload results, exit when the grid is done")
-		coordURL       = flag.String("coord-url", "", "base URL of the coordinator (e.g. http://host:8377) for -worker")
-		coordBatch     = flag.Int("coord-batch", 1, "jobs leased per request in -worker mode (the coordinator caps it); 1 gives the finest-grained load balancing")
 		shard          = flag.String("shard", "", "run only shard i/n of the experiment grid (format i/n) and write a shard JSON; requires a single -experiment")
 		out            = flag.String("out", "", "output path for -shard / -merge JSON (default stdout)")
 		mergeList      = flag.String("merge", "", "comma-separated shard JSON files: merge them, verify completeness, write the combined JSON and render the experiment")
 	)
 	flag.Parse()
 
-	if err := checkCkptDir(*ckptDir, *coordServe != "", *workerMode, *mergeList != ""); err != nil {
+	if err := checkCkptDir(*ckptDir, *mergeList != ""); err != nil {
 		fmt.Fprintf(os.Stderr, "iqbench: %v\n", err)
 		os.Exit(2)
 	}
@@ -118,34 +98,6 @@ func main() {
 	if *ckptDir != "" {
 		o.CheckpointDir = *ckptDir
 		o.CkptStats = &experiments.CkptStats{}
-	}
-
-	if *workerMode {
-		if *coordURL == "" {
-			fmt.Fprintln(os.Stderr, "iqbench: -worker requires -coord-url (the coordinator to pull jobs from)")
-			os.Exit(2)
-		}
-		w := &coord.Worker{
-			URL:       *coordURL,
-			BatchSize: *coordBatch,
-			Parallel:  *par,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		}
-		if err := w.Run(); err != nil {
-			fmt.Fprintf(os.Stderr, "iqbench: worker: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *coordServe != "" {
-		if err := serveCoordinator(*coordServe, *exp, o, *coordSpool, *coordLease, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "iqbench: coord: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *mergeList != "" {
@@ -236,66 +188,14 @@ func parseShard(s string) (i, n int, err error) {
 	return i, n, nil
 }
 
-// checkCkptDir rejects -ckpt-dir in the modes that never use the
-// checkpoint cache: the coordinator only hands out jobs, workers keep
-// their warmups in memory, and a merge only reads shard files. Silently
-// ignoring the flag there would let a user believe warmups are cached.
-func checkCkptDir(ckptDir string, coordMode, workerMode, mergeMode bool) error {
-	if ckptDir == "" || !(coordMode || workerMode || mergeMode) {
+// checkCkptDir rejects -ckpt-dir with -merge, which only reads shard
+// files and never uses the checkpoint cache. Silently ignoring the flag
+// there would let a user believe warmups are cached.
+func checkCkptDir(ckptDir string, mergeMode bool) error {
+	if ckptDir == "" || !mergeMode {
 		return nil
 	}
-	return errors.New("-ckpt-dir has no effect with -coord, -worker or -merge: none of them uses the checkpoint cache")
-}
-
-// serveCoordinator runs the -coord mode: enumerate the experiment's
-// grid, serve leases until every job has a result, then write the
-// merged file (byte-identical to a single-process -shard 0/1 run) and
-// exit. Completed fragments are spooled under spoolDir before they are
-// acknowledged, so restarting the coordinator over the same spool
-// resumes without losing or re-simulating finished work.
-func serveCoordinator(addr, experiment string, o experiments.Options, spoolDir string, leaseTTL time.Duration, outPath string) error {
-	if experiment == "" || experiment == "all" {
-		return fmt.Errorf("-coord needs a single -experiment (the grid to distribute)")
-	}
-	s, err := coord.NewServer(coord.Config{
-		Experiment: experiment,
-		Options:    o,
-		SpoolDir:   spoolDir,
-		LeaseTTL:   leaseTTL,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Addr: addr, Handler: s.Handler()}
-	fail := make(chan error, 1)
-	go func() { fail <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "[coord: %s grid (%d jobs) on %s, spool %s, lease %s]\n",
-		experiment, s.Merged().TotalJobs, addr, spoolDir, leaseTTL)
-	select {
-	case err := <-fail:
-		return err
-	case <-s.Done():
-	}
-	if err := writeShardJSON(s.Merged(), outPath); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "[coord: grid complete, merged %d results to %s]\n",
-		len(s.Merged().Results), outOrStdout(outPath))
-	// Linger so workers still polling for more work observe Done and
-	// exit cleanly instead of erroring against a vanished server.
-	time.Sleep(5 * time.Second)
-	srv.Close()
-	return nil
-}
-
-func outOrStdout(path string) string {
-	if path == "" {
-		return "stdout"
-	}
-	return path
+	return errors.New("-ckpt-dir has no effect with -merge: it only reads shard files")
 }
 
 // printCkptStats reports checkpoint-cache effectiveness when -ckpt-dir

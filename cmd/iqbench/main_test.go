@@ -36,24 +36,19 @@ func TestParseShard(t *testing.T) {
 
 func TestCheckCkptDir(t *testing.T) {
 	cases := []struct {
-		dir                  string
-		coord, worker, merge bool
-		ok                   bool
+		dir   string
+		merge bool
+		ok    bool
 	}{
-		{"", false, false, false, true},
-		{".ckpt", false, false, false, true}, // direct run, -shard, -prescreen
-		{"", true, false, false, true},
-		{"", false, true, false, true},
-		{"", false, false, true, true},
-		{".ckpt", true, false, false, false},
-		{".ckpt", false, true, false, false},
-		{".ckpt", false, false, true, false},
+		{"", false, true},
+		{".ckpt", false, true}, // direct run, -shard, -prescreen
+		{"", true, true},
+		{".ckpt", true, false},
 	}
 	for _, c := range cases {
-		err := checkCkptDir(c.dir, c.coord, c.worker, c.merge)
+		err := checkCkptDir(c.dir, c.merge)
 		if (err == nil) != c.ok {
-			t.Errorf("checkCkptDir(%q, coord=%v, worker=%v, merge=%v): err = %v, want ok=%v",
-				c.dir, c.coord, c.worker, c.merge, err, c.ok)
+			t.Errorf("checkCkptDir(%q, merge=%v): err = %v, want ok=%v", c.dir, c.merge, err, c.ok)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 // Command iqsim runs a single simulation of one workload on one
 // instruction-queue design and prints IPC plus the full statistics set.
 //
-// Examples:
-//
 // A comma-separated -workload list runs every workload simultaneously on
 // one SMT machine and reports per-thread commit counts.
 //
@@ -90,7 +88,7 @@ func main() {
 		return
 	}
 
-	res, err := iqsim.Run(cfg, *workload, *seed, *n, *warm)
+	res, err := iqsim.Run(cfg, workloads[0], *seed, *n, *warm)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "iqsim:", err)
 		os.Exit(1)

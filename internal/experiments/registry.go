@@ -12,8 +12,7 @@ import (
 // The experiment registry is the one place an experiment is wired in.
 // Each entry names a grid, says whether `iqbench -experiment all` runs
 // it, enumerates its jobs and renders its text from a complete result
-// set. Every consumer reads this table: RunShard, GridPlan and RunJobs
-// (and through them the coordinator and its workers), iqbench's
+// set. Every consumer reads this table: RunShard, GridPlan, iqbench's
 // -experiment flag, its direct runs and its -merge output. Adding an
 // experiment costs one entry.
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -29,7 +30,7 @@ const ShardSchema = 2
 func gridContexts(jobs []job) int {
 	m := 1
 	for _, j := range jobs {
-		m = max(m, ContextCount(j.wl))
+		m = max(m, strings.Count(j.wl, "+")+1)
 	}
 	return m
 }
@@ -107,8 +108,8 @@ func RunShard(o Options, experiment string, shard, numShards int) (*ShardFile, e
 
 // newShardFile returns the header of shard `shard` of `numShards` of an
 // experiment's grid under o, with no results yet. It is the one place a
-// shard-file header is built: shards, coordinator skeletons, job
-// fragments and pre-screened sweeps all start here.
+// shard-file header is built: shards, GridPlan skeletons and
+// pre-screened sweeps all start here.
 func newShardFile(o Options, experiment string, grid []job, shard, numShards int) *ShardFile {
 	return &ShardFile{
 		Schema:       ShardSchema,

@@ -15,8 +15,9 @@ func shardTestOptions() Options {
 // for every registered experiment: two shards merged (in either order)
 // are byte-identical to the single-process run, including the
 // serialized JSON that CI compares with cmp(1); the merge renders the
-// same text as the direct run; and a coordinator's GridPlan skeleton
-// filled by RunJobs over every key reproduces the same file.
+// same text as the direct run; and GridPlan's skeleton, whose job keys
+// are exactly the run's result keys, filled with the run's results
+// reproduces the same file.
 func TestShardedSweepMatchesSingleProcess(t *testing.T) {
 	o := Options{Instructions: 500, Warmup: 2000, Seed: 1, Benchmarks: []string{"swim"}}
 	for _, name := range Experiments {
@@ -54,19 +55,19 @@ func TestShardedSweepMatchesSingleProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys := make([]string, len(jobs))
-			for i, j := range jobs {
-				keys[i] = j.Key
-			}
-			frag, err := RunJobs(o, name, keys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan.Results = frag.Results
-			for _, sf := range []*ShardFile{plan, frag} {
-				if got, _ := sf.MarshalPretty(); !bytes.Equal(got, want) {
-					t.Fatal("GridPlan + RunJobs over every key differs from the single-process JSON")
+			seen := make(map[string]bool, len(jobs))
+			for _, j := range jobs {
+				if seen[j.Key] || full.Results[j.Key] == nil {
+					t.Fatalf("GridPlan job %q is listed twice or has no result in the run", j.Key)
 				}
+				seen[j.Key] = true
+			}
+			if len(seen) != len(full.Results) {
+				t.Fatalf("GridPlan lists %d jobs, the run has %d results", len(seen), len(full.Results))
+			}
+			plan.Results = full.Results
+			if got, _ := plan.MarshalPretty(); !bytes.Equal(got, want) {
+				t.Fatal("GridPlan's skeleton filled with the run's results differs from the single-process JSON")
 			}
 		})
 	}
