@@ -60,7 +60,6 @@ func main() {
 		benches        = flag.String("benchmarks", "", "comma-separated benchmark subset (default all)")
 		par            = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		ckptDir        = flag.String("ckpt-dir", "", "directory backing the warm-checkpoint cache: warmups found there are loaded instead of re-simulated, new ones are saved for later runs")
-		noSkip         = flag.Bool("no-skip", false, "step every simulated cycle instead of skipping provably idle spans; results are bit-identical either way (this flag exists for cross-checking and for before/after perf comparisons)")
 		noPrefix       = flag.Bool("no-prefix-share", false, "fork every sweep point from its warm checkpoint instead of sharing the detailed prefix of each sweep family's most permissive member; results are bit-identical either way (this flag exists for cross-checking and for before/after perf comparisons)")
 		prescreen      = flag.Bool("prescreen", false, "run a pre-screened mega-grid sweep: score every grid point with the analytic IPC model, simulate only the predicted IPC-per-entry Pareto frontier plus a seeded audit sample, and report the estimator's audit error; -out writes the simulated points as a shard JSON")
 		prescreenGrid  = flag.String("prescreen-grid", "mega", "mega-grid preset for -prescreen: mega (~13k points per workload) or ci (~340)")
@@ -87,7 +86,6 @@ func main() {
 	}
 	o.Seed = *seed
 	o.Parallel = *par
-	o.NoSkip = *noSkip
 	o.NoPrefixShare = *noPrefix
 	if !*noPrefix {
 		o.PrefixStats = &sim.PrefixStats{}

@@ -66,13 +66,6 @@ type Config struct {
 	// L1 hit latency (3).
 	PredictedLoadLatency int
 
-	// StatsEvery samples the per-cycle occupancy/readiness statistics
-	// every StatsEvery cycles instead of every cycle; sampling trades
-	// statistical resolution for simulation speed. 0 or 1 means every
-	// cycle (exact averages);
-	// simulated behaviour (IPC, cycle counts) is unaffected by any value.
-	StatsEvery int
-
 	// Threads is the number of hardware contexts sharing the queue (§7:
 	// SMT). The register information table is replicated per context;
 	// chains from independent threads interleave freely. 0 means 1.
@@ -116,9 +109,6 @@ func (c Config) Validate() error {
 	}
 	if c.PredictedLoadLatency < 1 {
 		return fmt.Errorf("core: predicted load latency %d < 1", c.PredictedLoadLatency)
-	}
-	if c.StatsEvery < 0 {
-		return fmt.Errorf("core: negative stats sampling interval %d", c.StatsEvery)
 	}
 	return nil
 }

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"reflect"
-	"testing"
-
-	"repro/internal/uop"
-)
+import "testing"
 
 // crossingQueue plants one member in the top segment of a three-segment
 // queue whose self-timed countdown on a fresh chain runs out at tick due.
@@ -59,46 +54,5 @@ func TestCrossingAcrossSuspendResume(t *testing.T) {
 		if m.seg != want {
 			t.Fatalf("cycle %d: member in segment %d, want %d", c, m.seg, want)
 		}
-	}
-}
-
-// A quiescent queue can hold only stale crossings: a frozen or finished
-// countdown has none pending. Skipping a window in which such an item
-// falls due must pop it exactly as stepping through the window does, so
-// that skipping and stepping queues stay deep-equal.
-func TestCrossingDueInsideSkipWindow(t *testing.T) {
-	q, m, ch := crossingQueue(t, 20) // crossing at 17
-	for c := int64(1); c <= 7; c++ {
-		q.BeginCycle(c)
-		if c == 3 {
-			q.assertAt(0, signal{ch: ch, typ: sigSuspend})
-		}
-	}
-	if !m.refs[0].suspended || m.cross != 0 {
-		t.Fatalf("suspend did not cancel the crossing: %+v, cross %d", m.refs[0], m.cross)
-	}
-	if len(q.crossings) != 1 || q.crossings[0].At != 17 {
-		t.Fatalf("crossing heap %+v, want the stale item at tick 17", q.crossings)
-	}
-	if !q.Quiescent(7) {
-		t.Fatal("queue not quiescent")
-	}
-	skip, step := q.Clone(uop.NewCloneMap()).(*SegmentedIQ), q.Clone(uop.NewCloneMap()).(*SegmentedIQ)
-	skip.SkipCycles(8, 30)
-	for c := int64(8); c < 30; c++ {
-		step.BeginCycle(c)
-		step.EndCycle(c, true)
-	}
-	for _, x := range []*SegmentedIQ{skip, step} {
-		if len(x.crossings) != 0 {
-			t.Fatalf("crossing heap %+v after the window, want it drained", x.crossings)
-		}
-		x.BeginCycle(30)
-		if err := x.checkIndex(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(skip, step) {
-		t.Fatal("skipping and stepping queues diverged")
 	}
 }

@@ -125,8 +125,7 @@ func (q *SegmentedIQ) setCrossing(e *entry, at int64) {
 }
 
 // dueCrossings sets the promotable bits of the crossings due at the
-// current tick. BeginCycle and SkipCycles call it after every tick, so
-// stepping and skipping machines pop the same items.
+// current tick. BeginCycle calls it after every tick.
 func (q *SegmentedIQ) dueCrossings() {
 	for {
 		it, ok := q.crossings.PopDue(q.ticks)

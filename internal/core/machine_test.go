@@ -52,7 +52,7 @@ var invariantSeeds = []struct {
 
 // checkMachineInvariants runs the machine a describes — 20k warm
 // instructions per context, then 6k committed — and checks the segmented
-// queue's indexes after every cycle (and every skipped window).
+// queue's indexes after every cycle.
 func checkMachineInvariants(t *testing.T, a invariantArgs) {
 	segs := int(a.segs)
 	if segs < 1 || segs > 16 {

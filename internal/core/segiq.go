@@ -22,9 +22,8 @@ type SegmentedIQ struct {
 	table  regTable
 
 	// ticks is the clock self-timed countdowns are stamped against: it
-	// advances once per BeginCycle, after wire delivery, and once per
-	// cycle SkipCycles elides, so a running countdown's value is
-	// max(0, due-ticks) with no per-entry work.
+	// advances once per BeginCycle, after wire delivery, so a running
+	// countdown's value is max(0, due-ticks) with no per-entry work.
 	ticks int64
 	// members indexes chain memberships by (wire, segment) and rows
 	// register-table rows by wire (index.go).
@@ -77,11 +76,11 @@ type SegmentedIQ struct {
 	// stay empty.
 	active int
 
-	curCycle            int64
-	issuedThisCycle     int
-	promotedThisCycle   int
-	dispatchedThisCycle int
-	recoverPending      bool
+	curCycle int64
+	// moved records that an instruction issued, moved between segments or
+	// dispatched this cycle; EndCycle's deadlock detector reads it.
+	moved          bool
+	recoverPending bool
 
 	stDispatched     stats.Counter
 	stIssued         stats.Counter
@@ -328,9 +327,7 @@ func (q *SegmentedIQ) refresh(e *entry) {
 // deadlock recovery, promotion and pushdown.
 func (q *SegmentedIQ) BeginCycle(cycle int64) {
 	q.advance(cycle)
-	q.issuedThisCycle = 0
-	q.promotedThisCycle = 0
-	q.dispatchedThisCycle = 0
+	q.moved = false
 
 	// Promotion this cycle may use only the slots that were free at the
 	// end of the previous cycle (§3.1: availability cannot be computed and
@@ -360,17 +357,11 @@ func (q *SegmentedIQ) BeginCycle(cycle int64) {
 	}
 
 	q.promote(cycle)
-
-	// Statistics: popcounts of the ready words, gated behind the sampling
-	// knob (Config.StatsEvery); they have no effect on scheduling.
-	if every := int64(q.cfg.StatsEvery); every <= 1 || cycle%every == 0 {
-		q.sampleStats(cycle)
-	}
+	q.sampleStats(cycle)
 }
 
-// sampleStats records the per-cycle sampled statistics. It is called from
-// BeginCycle on sampled cycles and replayed by SkipCycles for elided idle
-// cycles, so it must not mutate scheduling state.
+// sampleStats records the per-cycle statistics: occupancies and
+// popcounts of the ready words. It has no effect on scheduling.
 func (q *SegmentedIQ) sampleStats(cycle int64) {
 	q.stOccupancy.Observe(float64(q.total))
 	q.stActiveSegs.Observe(float64(q.active))
@@ -402,71 +393,6 @@ func (q *SegmentedIQ) sampleStats(cycle int64) {
 	q.stReadySeg0.Observe(float64(ready0))
 	q.stReadyTotal.Observe(float64(readyAll))
 	q.chains.sample()
-}
-
-// Quiescent implements iq.Queue. The segmented design is frozen at the end
-// of a cycle when nothing moved this cycle, no deadlock recovery is armed,
-// segment 0 holds no issueable instruction, every unresolved producer has no
-// completion stamped yet, the pipelined chain wires carry no in-flight
-// signal, no entry arrived this cycle (it would become promotion-eligible
-// next cycle), and no self-timed countdown — in an entry's chain refs or in
-// a register-table row — is still ticking. Under those conditions BeginCycle
-// on the elided cycles would only shift empty wire positions and run an
-// empty promotion pass.
-func (q *SegmentedIQ) Quiescent(cycle int64) bool {
-	if q.issuedThisCycle != 0 || q.promotedThisCycle != 0 ||
-		q.dispatchedThisCycle != 0 || q.recoverPending {
-		return false
-	}
-	if bitvec.Any(q.readyW[0]) {
-		return false
-	}
-	for _, u := range q.unresolved {
-		if u.Complete != uop.NotYet {
-			return false
-		}
-	}
-	for k := range q.wires.cur {
-		if len(q.wires.cur[k]) != 0 {
-			return false
-		}
-	}
-	for k := range q.segs {
-		for _, e := range q.segs[k] {
-			if e.arrived >= q.curCycle || e.last > q.ticks {
-				return false
-			}
-		}
-	}
-	for i := range q.table {
-		re := &q.table[i]
-		if re.valid && re.running() && re.due > q.ticks {
-			return false
-		}
-	}
-	return true
-}
-
-// SkipCycles implements iq.Queue: replay the state evolution BeginCycle
-// would have produced on the elided cycles [from, to). With the queue
-// quiescent the only effects are the wire-pipe shift (a slice-header
-// rotation that must be replayed exactly for state equivalence even though
-// every position is empty), the countdown clock (no countdown is running
-// to a future deadline, but the clock is machine state), the crossing
-// heap (only stale items can fall due, but popping them is state too) and
-// the sampled statistics.
-func (q *SegmentedIQ) SkipCycles(from, to int64) {
-	every := int64(q.cfg.StatsEvery)
-	for x := from; x < to; x++ {
-		if !q.cfg.InstantWires {
-			q.wires.shift()
-		}
-		q.ticks++
-		q.dueCrossings()
-		if every <= 1 || x%every == 0 {
-			q.sampleStats(x)
-		}
-	}
 }
 
 // promote moves eligible instructions one segment downward, oldest first,
@@ -571,7 +497,7 @@ func (q *SegmentedIQ) moveSelected(k, dest, n int, cycle int64, mode pickMode) i
 				e2.observe(s, q.ticks)
 			}
 		}
-		q.promotedThisCycle++
+		q.moved = true
 		if pushdown {
 			q.stPushdowns.Inc()
 		} else {
@@ -759,7 +685,9 @@ func (q *SegmentedIQ) Issue(cycle int64, max int, tryIssue func(*uop.UOp) bool) 
 	}
 	q.candScratch = cand[:0]
 	q.outScratch = out
-	q.issuedThisCycle += len(out)
+	if len(out) > 0 {
+		q.moved = true
+	}
 	q.stIssued.Add(uint64(len(out)))
 	return out
 }
@@ -987,7 +915,7 @@ func (q *SegmentedIQ) Dispatch(cycle int64, u *uop.UOp) bool {
 	q.catchUp(e, target)
 	q.segInsert(target, e, q.sb.Track(e.id, u, cycle), u.IsStore())
 	q.total++
-	q.dispatchedThisCycle++
+	q.moved = true
 	q.stDispatched.Inc()
 	q.stDispatchSeg.Observe(float64(target))
 	if needHead {
@@ -1053,8 +981,7 @@ func (q *SegmentedIQ) Writeback(cycle int64, u *uop.UOp) {
 // or dispatched this cycle and nothing is executing elsewhere in the
 // machine; recovery runs at the start of the next cycle.
 func (q *SegmentedIQ) EndCycle(cycle int64, machineActive bool) {
-	if q.total > 0 && q.issuedThisCycle == 0 && q.promotedThisCycle == 0 &&
-		q.dispatchedThisCycle == 0 && !machineActive {
+	if q.total > 0 && !q.moved && !machineActive {
 		q.stDeadlockCycles.Inc()
 		if q.cfg.DeadlockRecovery {
 			q.recoverPending = true

@@ -40,9 +40,6 @@ type Config struct {
 	PredictedLoadLatency int
 	// Threads replicates the availability table per hardware context.
 	Threads int
-	// StatsEvery samples the per-cycle wait-buffer occupancy statistic
-	// every n cycles (0 or 1: every cycle). Scheduling is unaffected.
-	StatsEvery int
 }
 
 // DefaultConfig mirrors the prescheduling geometry for a given total
@@ -262,9 +259,7 @@ func (q *DistIQ) BeginCycle(cycle int64) {
 	}
 	q.wait = kept
 	q.waitH = keptH
-	if every := int64(q.cfg.StatsEvery); every <= 1 || cycle%every == 0 {
-		q.stWaitOcc.Observe(float64(len(q.wait)))
-	}
+	q.stWaitOcc.Observe(float64(len(q.wait)))
 
 	// Advance the array one row per cycle once due. Rows are issued from
 	// directly; an undrained row (issue-width pressure) holds the array.
@@ -285,48 +280,6 @@ func (q *DistIQ) BeginCycle(cycle int64) {
 			}
 		}
 		if len(q.lines[q.head]) == 0 {
-			q.lines[q.head] = nil
-			q.head = (q.head + 1) % q.cfg.Lines
-			q.base++
-		}
-	}
-}
-
-// Quiescent implements iq.Queue: every scheduling-array row is empty (no
-// issue, no straggler relocation, no wait-buffer release target) and no
-// wait-buffer entry is flagged for re-evaluation — every waiting
-// instruction is parked on an unresolved producer, which resolves via
-// events the engine bounds the skip window by. Issued producers whose
-// completion is pending re-check keep the queue non-quiescent.
-func (q *DistIQ) Quiescent(cycle int64) bool {
-	for _, row := range q.lines {
-		if len(row) > 0 {
-			return false
-		}
-	}
-	for _, w := range q.recheckW {
-		if w != 0 {
-			return false
-		}
-	}
-	for _, u := range q.unresolved {
-		if u.Complete != uop.NotYet {
-			return false
-		}
-	}
-	return true
-}
-
-// SkipCycles implements iq.Queue: replay BeginCycle's observable work on
-// a frozen queue — the empty head row still retires (ring rotation, base
-// advance) and the wait-buffer occupancy statistic still samples.
-func (q *DistIQ) SkipCycles(from, to int64) {
-	every := int64(q.cfg.StatsEvery)
-	for x := from; x < to; x++ {
-		if every <= 1 || x%every == 0 {
-			q.stWaitOcc.Observe(float64(len(q.wait)))
-		}
-		if q.base <= x {
 			q.lines[q.head] = nil
 			q.head = (q.head + 1) % q.cfg.Lines
 			q.base++

@@ -47,18 +47,12 @@ type Options struct {
 	CheckpointDir string
 	// CkptStats, when non-nil, counts checkpoint-store activity.
 	CkptStats *CkptStats
-	// NoSkip steps every machine cycle instead of skipping provably idle
-	// spans. Skipping is bit-identical by construction, so results (and
-	// shard files, which deliberately omit this knob) are byte-identical
-	// either way; the flag exists for cross-checking and debugging.
-	NoSkip bool
 	// NoPrefixShare runs every sweep-family member cold from its warm
 	// checkpoint instead of forking siblings from the reference member's
 	// detailed prefix (sim.RunFamily). Sharing is bit-identical by
 	// construction — a sibling forks only at a point its demand curves
-	// prove undiverged — so, like NoSkip, the knob changes wall-clock
-	// only, is applied at fork time, and never splits checkpoint keys or
-	// shard headers.
+	// prove undiverged — so the knob changes wall-clock only, is applied
+	// at fork time, and never splits checkpoint keys or shard headers.
 	NoPrefixShare bool
 	// PrefixStats, when non-nil, counts prefix-sharing outcomes across
 	// the batch's sweep families.
@@ -249,25 +243,6 @@ func (c *ckCache) forked(j job) {
 	}
 }
 
-// run is the batch runner: fork j's checkpoint (warming it if j is first
-// to the key), drop the claim, and simulate.
-func (c *ckCache) run(j job, instructions int64) (*sim.Result, error) {
-	ck, err := c.get(j)
-	if err != nil {
-		c.forked(j)
-		return nil, err
-	}
-	// Applied at fork time rather than in the grid's configs so the
-	// knob never splits checkpoint keys or shard headers.
-	j.cfg.NoSkip = c.o.NoSkip
-	p, err := ck.Fork(j.cfg)
-	c.forked(j)
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(instructions)
-}
-
 // family is a set of grid points that are sweep siblings over one warm
 // checkpoint: same context set and geometry, varying only the swept
 // resource bounds. sim.RunFamily simulates them together, forking each
@@ -316,11 +291,7 @@ func (c *ckCache) runFamily(f family, instructions int64) ([]*sim.Result, error)
 	}
 	cfgs := make([]sim.Config, len(f.jobs))
 	for i, j := range f.jobs {
-		cfg := j.cfg
-		// Fork-time knob, like NoSkip in run: uniform across the family,
-		// never in grid configs, checkpoint keys or shard headers.
-		cfg.NoSkip = c.o.NoSkip
-		cfgs[i] = cfg
+		cfgs[i] = j.cfg
 	}
 	return sim.RunFamily(ck, cfgs, instructions, !c.o.NoPrefixShare, c.o.PrefixStats)
 }

@@ -96,7 +96,8 @@ func TestRunAllForkMatchesColdPath(t *testing.T) {
 // TestCheckpointCacheEvictsAfterLastFork: a checkpoint is held exactly as
 // long as grid points still need to fork it — the last fork for a key
 // releases the warmed template, so a long batch does not keep every
-// workload's machine alive until the end.
+// workload's machine alive until the end. Each job runs as a one-member
+// family, so every fork is a separate runFamily call.
 func TestCheckpointCacheEvictsAfterLastFork(t *testing.T) {
 	o := Options{Instructions: 300, Warmup: 4000, Seed: 1, Parallel: 1}
 	jobs := []job{
@@ -115,19 +116,19 @@ func TestCheckpointCacheEvictsAfterLastFork(t *testing.T) {
 	if got := entries(); got != 2 {
 		t.Fatalf("retain registered %d keys, want 2 (both swim jobs share one checkpoint)", got)
 	}
-	if _, err := cks.run(jobs[0], o.Instructions); err != nil {
+	if _, err := cks.runFamily(family{jobs: jobs[0:1]}, o.Instructions); err != nil {
 		t.Fatal(err)
 	}
 	if got := entries(); got != 2 {
 		t.Fatalf("swim checkpoint evicted with a grid point still unforked (entries=%d)", got)
 	}
-	if _, err := cks.run(jobs[1], o.Instructions); err != nil {
+	if _, err := cks.runFamily(family{jobs: jobs[1:2]}, o.Instructions); err != nil {
 		t.Fatal(err)
 	}
 	if got := entries(); got != 1 {
 		t.Fatalf("swim checkpoint not evicted after its last fork (entries=%d)", got)
 	}
-	if _, err := cks.run(jobs[2], o.Instructions); err != nil {
+	if _, err := cks.runFamily(family{jobs: jobs[2:3]}, o.Instructions); err != nil {
 		t.Fatal(err)
 	}
 	if got := entries(); got != 0 {

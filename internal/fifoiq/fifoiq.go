@@ -32,9 +32,6 @@ type Config struct {
 	FIFOs int
 	// Depth is the capacity of each FIFO.
 	Depth int
-	// StatsEvery samples the per-cycle head-readiness statistic every n
-	// cycles (0 or 1: every cycle). Scheduling is unaffected.
-	StatsEvery int
 }
 
 // DefaultConfig follows Palacharla et al.'s proportions: depth-8 FIFOs
@@ -169,42 +166,8 @@ func (q *FIFOIQ) advance(cycle int64) {
 // no internal motion) and sample the head-readiness statistic.
 func (q *FIFOIQ) BeginCycle(cycle int64) {
 	q.advance(cycle)
-	if every := int64(q.cfg.StatsEvery); every > 1 && cycle%every != 0 {
-		return
-	}
 	q.stOccupancy.Observe(float64(q.total))
 	q.stReadyHeads.Observe(float64(bitvec.Count(q.readyW)))
-}
-
-// Quiescent implements iq.Queue: no exposed head is issue-ready and no
-// resolved producer is pending re-check. Heads parked on unresolved
-// producers or scheduled on the wheel wake via events the engine bounds
-// the skip window by.
-func (q *FIFOIQ) Quiescent(cycle int64) bool {
-	for _, w := range q.readyW {
-		if w != 0 {
-			return false
-		}
-	}
-	for _, u := range q.unresolved {
-		if u.Complete != uop.NotYet {
-			return false
-		}
-	}
-	return true
-}
-
-// SkipCycles implements iq.Queue: a frozen FIFO queue's BeginCycle only
-// samples statistics, so replay just the sampling.
-func (q *FIFOIQ) SkipCycles(from, to int64) {
-	every := int64(q.cfg.StatsEvery)
-	for x := from; x < to; x++ {
-		if every > 1 && x%every != 0 {
-			continue
-		}
-		q.stOccupancy.Observe(float64(q.total))
-		q.stReadyHeads.Observe(float64(bitvec.Count(q.readyW)))
-	}
 }
 
 // sortCandsBySeq orders candidates by ascending sequence number with an

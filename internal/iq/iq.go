@@ -82,26 +82,6 @@ type Queue interface {
 	// CollectStats adds design-specific statistics to s.
 	CollectStats(s *stats.Set)
 
-	// Quiescent reports whether the queue is provably frozen at the end
-	// of the given cycle: no resident instruction is (or can become)
-	// issue-ready, and no internal per-cycle work — promotion, wire
-	// delivery, delay countdowns, recovery — can change any state before
-	// the next external event (a memory completion or a dispatch) arrives.
-	// The engine combines this with its own idle checks to skip cycles;
-	// implementations must answer conservatively (false when unsure),
-	// since a wrong true silently changes simulated behaviour.
-	Quiescent(cycle int64) bool
-
-	// SkipCycles replays, for the elided cycles [from, to), exactly the
-	// observable side effects BeginCycle would have had on a frozen queue
-	// — per-cycle statistics samples (honouring the sampling knob) and
-	// any state churn that is not a pure function of the cycle number
-	// (e.g. wire-pipeline slice rotation) — so that a skipping run stays
-	// bit-identical, stats included, to a run that ticked every cycle.
-	// Only called after Quiescent(from-1) returned true with no
-	// intervening event.
-	SkipCycles(from, to int64)
-
 	// Clone returns a deep copy of the queue sharing no mutable state
 	// with the receiver. Held instructions are remapped through m, so a
 	// cloned machine's layers agree on the cloned uop identities; any
@@ -140,10 +120,9 @@ type Queue interface {
 // sorting needed. The selection each cycle is identical to the full
 // rescan the modelled hardware performs.
 type Conventional struct {
-	name       string
-	capacity   int
-	statsEvery int64 // sample per-cycle stats every n cycles (<=1: every)
-	now        int64 // last BeginCycle; clocks wakeup deliveries
+	name     string
+	capacity int
+	now      int64 // last BeginCycle; clocks wakeup deliveries
 
 	// slots is packed and seq-sorted; ids maps a position to the
 	// instruction's stable scoreboard handle, posOf is the inverse (valid
@@ -181,11 +160,6 @@ type Conventional struct {
 func NewConventional(capacity int) *Conventional {
 	return &Conventional{name: "ideal", capacity: capacity}
 }
-
-// SetStatsSampling makes BeginCycle's readiness statistics run only every
-// n cycles (<=1: every cycle). Scheduling is unaffected; only the
-// resolution of the occupancy/readiness averages changes.
-func (q *Conventional) SetStatsSampling(n int) { q.statsEvery = int64(n) }
 
 // Name implements Queue.
 func (q *Conventional) Name() string { return q.name }
@@ -233,15 +207,6 @@ func (q *Conventional) BeginCycle(cycle int64) {
 	for _, h := range q.sb.Due(cycle) {
 		bitvec.Set(q.readyW, int(q.posOf[h]))
 	}
-	if q.statsEvery > 1 && cycle%q.statsEvery != 0 {
-		return
-	}
-	q.sampleStats(cycle)
-}
-
-// sampleStats records the per-cycle occupancy/readiness observations, the
-// modelled hardware's view at the given cycle.
-func (q *Conventional) sampleStats(cycle int64) {
 	q.occupancy.Observe(float64(len(q.slots)))
 	ready := bitvec.Count(q.readyW)
 	// The ready bitmap tracks issue readiness, under which a store waits
@@ -258,41 +223,6 @@ func (q *Conventional) sampleStats(cycle int64) {
 		}
 	}
 	q.readyInIQ.Observe(float64(ready))
-}
-
-// Quiescent implements Queue: nothing resident is issue-ready and no
-// resolved producer is pending delivery. Waiters parked on unresolved
-// producers and wheel entries for future completions are both fine — the
-// completions they wait for arrive via memory/writeback events, which the
-// engine bounds the skip window by.
-func (q *Conventional) Quiescent(cycle int64) bool {
-	for _, w := range q.readyW {
-		if w != 0 {
-			return false
-		}
-	}
-	for _, u := range q.unresolved {
-		if u.Complete != uop.NotYet {
-			return false
-		}
-	}
-	return true
-}
-
-// SkipCycles implements Queue: on a frozen conventional queue BeginCycle
-// only samples statistics, so replay just the sampling.
-func (q *Conventional) SkipCycles(from, to int64) {
-	if q.statsEvery > 1 {
-		for x := from; x < to; x++ {
-			if x%q.statsEvery == 0 {
-				q.sampleStats(x)
-			}
-		}
-		return
-	}
-	for x := from; x < to; x++ {
-		q.sampleStats(x)
-	}
 }
 
 // Issue implements Queue: single-cycle wakeup and select over the whole

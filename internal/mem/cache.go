@@ -582,10 +582,10 @@ func (c *Cache) reserveLink(ready int64) int64 {
 func (c *Cache) OutstandingMisses() int { return c.mshrCount }
 
 // SkipMSHRRejects records n MSHR-full rejections without performing the
-// accesses. The cycle-skipping engine uses it to replay the rejections a
-// blocked load would have accumulated on elided idle cycles; the real
+// accesses. The LSQ uses it to repeat a memoised rejection (AcceptGen
+// unchanged) without re-walking the tag array and MSHR file; the real
 // reject path (AccessArg finding every MSHR busy) touches only this
-// counter, so the replay is exact.
+// counter, so the shortcut is exact.
 func (c *Cache) SkipMSHRRejects(n uint64) { c.stats.MSHRRejects += n }
 
 // AcceptGen identifies the MSHR file's acceptance state: it advances

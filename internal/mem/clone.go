@@ -76,7 +76,7 @@ func (h *Hierarchy) Clone() (*Hierarchy, error) {
 // registers its own handler and payload mappings, and ResolveRemap
 // finally rewrites every held Ref. A Ref whose handler or payload has no
 // mapping — a PlainFunc test wrapper, say — fails resolution with an
-// error, and the caller falls back to a quiescent clone site.
+// error.
 
 // Remap carries the old→new identity mappings an active clone uses to
 // re-point in-flight Refs at the cloned machine.

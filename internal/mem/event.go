@@ -138,12 +138,10 @@ func (q *EventQueue) Schedule(when int64, fn func(now int64)) {
 // events schedule at or before now. It returns the number executed.
 //
 // Time contract: a callback observes the event's own scheduled time, not
-// the caller's clock. The two only differ when RunDue is called with a
-// clock past the event's due time — which cannot happen while the engine
-// ticks every cycle, but does the moment idle cycles are skipped: an
-// event due at cycle 90 must still see 90 even if the machine next wakes
-// at 120. Completion stamps derived from the callback time stay exact
-// either way.
+// the caller's clock. The two differ only when RunDue is called with a
+// clock past the event's due time. The engine ticks every cycle and never
+// does that, but a caller that does must not shift completion stamps: an
+// event due at cycle 90 still sees 90 when drained at 120.
 func (q *EventQueue) RunDue(now int64) int {
 	n := 0
 	for len(q.h) > 0 && q.h[0].when <= now {
@@ -156,11 +154,3 @@ func (q *EventQueue) RunDue(now int64) int {
 
 // Len returns the number of pending events.
 func (q *EventQueue) Len() int { return len(q.h) }
-
-// NextTime returns the time of the earliest pending event.
-func (q *EventQueue) NextTime() (int64, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].when, true
-}

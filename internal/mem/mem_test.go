@@ -28,9 +28,6 @@ func TestEventQueueOrdering(t *testing.T) {
 	if q.Len() != 0 {
 		t.Error("queue should be empty")
 	}
-	if _, ok := q.NextTime(); ok {
-		t.Error("NextTime on empty queue")
-	}
 }
 
 func TestEventQueueSameCycleFIFO(t *testing.T) {
@@ -61,8 +58,8 @@ func TestEventQueueCascading(t *testing.T) {
 	if ran != 2 {
 		t.Fatalf("ran = %d, want 2", ran)
 	}
-	if next, ok := q.NextTime(); ok {
-		t.Fatalf("leftover event at %d", next)
+	if n := q.Len(); n != 0 {
+		t.Fatalf("%d leftover events", n)
 	}
 }
 
@@ -75,16 +72,16 @@ func (h addArgHandler) HandleEvent(_ uint8, now int64, _ Kind, arg any) {
 }
 
 // Regression: callbacks observe the event's own scheduled time, not the
-// clock RunDue was called with. With idle-cycle skipping the engine's
-// clock can be far past an event's due time on the RunDue that drains it;
-// completion stamps taken from the callback argument must not drift.
+// clock RunDue was called with. A caller's clock can be far past an
+// event's due time on the RunDue that drains it; completion stamps taken
+// from the callback argument must not drift.
 func TestEventQueuePastDueObservesScheduledTime(t *testing.T) {
 	var q EventQueue
 	var got []int64
 	q.Schedule(90, func(now int64) { got = append(got, now) })
 	q.ScheduleRef(95, Ref{H: addArgHandler{&got}, Arg: new(int64)})
 	q.Schedule(120, func(now int64) { got = append(got, now) })
-	// The machine skips straight to cycle 120: all three events drain in
+	// The caller jumps straight to cycle 120: all three events drain in
 	// one call, each seeing its own time.
 	if n := q.RunDue(120); n != 3 {
 		t.Fatalf("ran %d events, want 3", n)

@@ -190,66 +190,6 @@ func (f *FrontEnd) Fetch(cycle int64) {
 	}
 }
 
-// Fetch-cycle skip classes, returned by SkipClass: what one elided Fetch
-// call would have done.
-const (
-	// FetchSkipNo: fetch would make progress (buffer instructions, retry an
-	// instruction-line lookup, or resume after a resolved branch) — the
-	// cycle cannot be elided.
-	FetchSkipNo = iota
-	// FetchSkipIdle: trace exhausted or buffer full; Fetch is a no-op.
-	FetchSkipIdle
-	// FetchSkipBranch: stalled on an unresolved misprediction;
-	// branchStallCyc ticks once per cycle.
-	FetchSkipBranch
-	// FetchSkipICache: waiting on an instruction-line fill; icacheStallCyc
-	// ticks once per cycle.
-	FetchSkipICache
-)
-
-// SkipClass classifies what Fetch would do on an elided cycle, for
-// idle-cycle skipping. The class holds for a whole skip window because the
-// conditions are all released by events (branch writeback, line fill) or
-// by dispatch draining the buffer, none of which happen inside one.
-func (f *FrontEnd) SkipClass(cycle int64) int {
-	if f.done {
-		return FetchSkipIdle
-	}
-	if f.stalledOn != nil {
-		if f.stalledOn.Complete == uop.NotYet || f.stalledOn.Complete > cycle {
-			return FetchSkipBranch
-		}
-		return FetchSkipNo // resolved: fetch resumes next cycle
-	}
-	if f.icacheWait {
-		return FetchSkipICache
-	}
-	if len(f.buf) >= f.cfg.BufferCap {
-		return FetchSkipIdle
-	}
-	return FetchSkipNo
-}
-
-// SkipCycles replays the stall counter of the given class for n elided
-// fetch cycles.
-func (f *FrontEnd) SkipCycles(class int, n int64) {
-	switch class {
-	case FetchSkipBranch:
-		f.branchStallCyc += uint64(n)
-	case FetchSkipICache:
-		f.icacheStallCyc += uint64(n)
-	}
-}
-
-// HeadReadyAt returns the cycle the oldest buffered instruction becomes
-// eligible for dispatch, or ok=false with an empty buffer.
-func (f *FrontEnd) HeadReadyAt() (int64, bool) {
-	if len(f.buf) == 0 {
-		return 0, false
-	}
-	return f.buf[0].readyAt, true
-}
-
 // Train updates the branch predictor and BTB with an instruction without
 // fetching it — workload warm-up.
 func (f *FrontEnd) Train(in isa.Inst) {

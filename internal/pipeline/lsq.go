@@ -380,80 +380,6 @@ func (l *LSQ) Tick(cycle int64) {
 	}
 }
 
-// SkipClass classifies the queue for idle-cycle skipping. Called after
-// Tick(cycle) has run, it decides whether every Tick on the elided cycles
-// (cycle, cap) would be a pure counter replay, and if so which counters:
-// blocked loads stuck behind an older store with an unknown address
-// (blockedByStore ticks once per load per cycle) and loads whose access
-// would bounce off a full MSHR file every cycle (mshrRejects, plus the
-// cache-side reject counter). Any entry that could make real progress —
-// a drainable retired write, a store completion about to be stamped, or a
-// load whose access would actually be accepted — makes the queue
-// unskippable and SkipClass returns ok=false.
-//
-// The classification is only valid while nothing else moves: callers must
-// separately ensure no issue/dispatch/writeback happens in the window, so
-// EADone/Complete fields (future values always carry an event at exactly
-// that time, which bounds the window) and the store-coverage index are
-// frozen across it.
-func (l *LSQ) SkipClass(cycle int64) (ok bool, blocked, rejected int) {
-	if len(l.writeQ) > 0 {
-		return false, 0, 0 // retired writes could drain
-	}
-	full := l.l1d.OutstandingMisses() >= l.l1d.Config().MSHRs
-	gen := l.l1d.AcceptGen()
-	unknownStore := false
-	for _, u := range l.entries {
-		if u.IsStore() {
-			if u.EADone == uop.NotYet || u.EADone > cycle {
-				unknownStore = true
-			} else if u.Complete == uop.NotYet && u.OperandReady(0, cycle) {
-				// Tick would stamp the store's completion next cycle.
-				return false, 0, 0
-			}
-			continue
-		}
-		if !u.IsLoad() || u.Complete != uop.NotYet || u.MemKind != uop.MemNone {
-			continue // in flight or done: completion arrives by event
-		}
-		if u.EADone == uop.NotYet || u.EADone > cycle {
-			continue // address arrives with a future event
-		}
-		if unknownStore {
-			blocked++
-			continue
-		}
-		// EA-ready, unblocked, and still pending after this cycle's Tick:
-		// forwarding was already ruled out (the coverage index is frozen),
-		// so the only frozen outcome is an MSHR-file rejection, and it must
-		// stay one on every elided cycle. That requires a plain miss (a hit
-		// or an outstanding MSHR for the line would accept the access) with
-		// every MSHR busy; MSHRs cannot free mid-window (fills arrive by
-		// event). A live rejection memo is that exact condition, already
-		// established by this cycle's Tick.
-		if u.RejGen == 0 || u.RejGen != gen {
-			if !full || l.l1d.Probe(u.Inst.Addr) != mem.KindMiss {
-				return false, 0, 0
-			}
-		}
-		rejected++
-	}
-	return true, blocked, rejected
-}
-
-// SkipCycles replays the counter effects of n elided Ticks, using the
-// classification from SkipClass. The real reject path (AccessArg with a
-// full MSHR file) touches only the two reject counters, so the replay is
-// exact.
-func (l *LSQ) SkipCycles(n int64, blocked, rejected int) {
-	l.blockedByStore += uint64(blocked) * uint64(n)
-	if rejected > 0 {
-		r := uint64(rejected) * uint64(n)
-		l.mshrRejects += r
-		l.l1d.SkipMSHRRejects(r)
-	}
-}
-
 func (l *LSQ) finishLoad(t int64, u *uop.UOp) {
 	l.q.NotifyLoadComplete(t, u)
 	l.q.Writeback(t, u)

@@ -38,9 +38,6 @@ type Config struct {
 	// Threads is the number of hardware contexts sharing the queue; the
 	// availability table is replicated per context. 0 means 1.
 	Threads int
-	// StatsEvery samples the per-cycle buffer-readiness statistics every
-	// n cycles (0 or 1: every cycle). Scheduling is unaffected.
-	StatsEvery int
 }
 
 // DefaultConfig returns the configuration the paper simulates for a given
@@ -343,71 +340,24 @@ func (q *PreschedIQ) BeginCycle(cycle int64) {
 		}
 	}
 
-	if every := int64(q.cfg.StatsEvery); every <= 1 || cycle%every == 0 {
-		q.stBufOcc.Observe(float64(len(q.buf)))
-		// The ready bitmap tracks issue readiness, under which a store
-		// waits only for its address; the unreadiness statistic counts
-		// full operand readiness, so discount ready stores with pending
-		// data before subtracting.
-		ready := bitvec.Count(q.readyW)
-		for k := range q.readyW {
-			w := q.readyW[k] & q.storeW[k]
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &= w - 1
-				if !q.tslot[k<<6+b].OperandReady(0, cycle) {
-					ready--
-				}
+	q.stBufOcc.Observe(float64(len(q.buf)))
+	// The ready bitmap tracks issue readiness, under which a store waits
+	// only for its address; the unreadiness statistic counts full operand
+	// readiness, so discount ready stores with pending data before
+	// subtracting.
+	ready := bitvec.Count(q.readyW)
+	for k := range q.readyW {
+		w := q.readyW[k] & q.storeW[k]
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			w &= w - 1
+			if !q.tslot[k<<6+b].OperandReady(0, cycle) {
+				ready--
 			}
 		}
-		q.stBufUnready.Observe(float64(len(q.buf) - ready))
-		q.stArrayOcc.Observe(float64(q.total - len(q.buf)))
 	}
-}
-
-// Quiescent implements iq.Queue: every scheduling-array row is empty (so
-// row drains, camper recycling and dispatch placement cannot occur), no
-// buffered instruction is issue-ready, and no resolved producer is
-// pending re-check. Buffered campers parked on unresolved producers wake
-// via events the engine bounds the skip window by.
-func (q *PreschedIQ) Quiescent(cycle int64) bool {
-	if q.total > len(q.buf) {
-		return false
-	}
-	for _, w := range q.readyW {
-		if w != 0 {
-			return false
-		}
-	}
-	for _, u := range q.unresolved {
-		if u.Complete != uop.NotYet {
-			return false
-		}
-	}
-	return true
-}
-
-// SkipCycles implements iq.Queue: replay BeginCycle's observable work on
-// a frozen queue — the empty head row still retires (the ring rotates and
-// base advances one row per cycle) and the statistics still sample.
-func (q *PreschedIQ) SkipCycles(from, to int64) {
-	every := int64(q.cfg.StatsEvery)
-	for x := from; x < to; x++ {
-		if q.base <= x {
-			// The head row is empty (Quiescent checked), so BeginCycle's
-			// drain reduces to exactly this retirement step.
-			q.lines[q.head] = nil
-			q.head = (q.head + 1) % q.cfg.Lines
-			q.base++
-		}
-		if every <= 1 || x%every == 0 {
-			// readyW is all-zero while frozen, so the store-discount scan
-			// in BeginCycle observes ready == 0.
-			q.stBufOcc.Observe(float64(len(q.buf)))
-			q.stBufUnready.Observe(float64(len(q.buf)))
-			q.stArrayOcc.Observe(float64(q.total - len(q.buf)))
-		}
-	}
+	q.stBufUnready.Observe(float64(len(q.buf) - ready))
+	q.stArrayOcc.Observe(float64(q.total - len(q.buf)))
 }
 
 // recycleCampers removes up to need unready instructions from the issue

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -294,10 +293,7 @@ func (st *DirStore) LoadOrNew(cfg Config, specs ...ContextSpec) (ck *Checkpoint,
 // across keys must not impersonate another warmup. Returns nil (after
 // a stderr note) for anything unusable.
 func (st *DirStore) decode(key string, data []byte, specs []ContextSpec) *Checkpoint {
-	ck, err := LoadCheckpoint(bytes.NewReader(data))
-	if err == nil && !slices.Equal(ck.specs, specs) {
-		err = fmt.Errorf("blob holds context set %v, wanted %v", ck.specs, specs)
-	}
+	ck, err := LoadCheckpoint(bytes.NewReader(data), specs)
 	if err != nil {
 		// A present-but-unloadable file is worth mentioning: it means the
 		// store was written by an incompatible build or got corrupted, and

@@ -8,79 +8,22 @@ import (
 	"repro/internal/uop"
 )
 
-// Clone returns an independent deep copy of the machine: the queue, every
-// context's front end, renamer, ROB and LSQ, the memory hierarchy, branch
-// structures and statistics. In-flight instructions are remapped through
-// one shared uop.CloneMap so the cloned layers agree on instruction
-// identity exactly as the originals do. Stepping either machine leaves
-// the other untouched.
+// CloneActive returns an independent deep copy of the machine: the
+// queue, every context's front end, renamer, ROB and LSQ, the memory
+// hierarchy, branch structures and statistics. In-flight instructions
+// are remapped through one shared uop.CloneMap, and pending memory
+// events, busy MSHRs and queued fetches are carried across and
+// re-pointed at the clone through a mem.Remap: every event is a Ref
+// naming its handler (cache, LSQ, front end, engine) and payload (mshr,
+// uop, nil), so the clone registers the handler identities it creates
+// and resolves every Ref afterwards. An unresolvable Ref — a test-only
+// closure wrapper, or a payload kind the resolver does not know —
+// returns an error. Stepping either machine leaves the other untouched.
 //
-// Two gates apply. The machine must be quiescent — no issued instruction
-// awaiting completion and no pending memory events — because scheduled
-// events hold closures bound to the original machine and cannot be
-// re-bound. And every context's stream must be forkable (trace.Forkable)
-// so the clone can replay the same instruction suffix. Machines built by
-// NewCheckpoint satisfy both by construction.
-func (e *Engine) Clone() (*Engine, error) {
-	if e.inExec != 0 {
-		return nil, fmt.Errorf("sim: clone requires a quiescent machine (%d instructions in execution)", e.inExec)
-	}
-	hier, err := e.hier.Clone()
-	if err != nil {
-		return nil, err
-	}
-	for _, th := range e.ctxs {
-		if _, ok := th.stream.(trace.Forkable); !ok {
-			return nil, fmt.Errorf("sim: clone requires forkable streams (context %d reads a %T)", th.id, th.stream)
-		}
-	}
-	m := uop.NewCloneMap()
-	n := new(Engine)
-	*n = *e
-	n.hier = hier
-	n.fus = e.fus.Clone()
-	n.q = e.q.Clone(m)
-	n.demROB.Steps = e.demROB.CloneSteps()
-	n.demLSQ.Steps = e.demLSQ.CloneSteps()
-	n.ctxs = nil
-	for _, th := range e.ctxs {
-		s := th.stream.(trace.Forkable).Fork()
-		bp := th.bp.Clone()
-		btb := th.btb.Clone()
-		nth := &context{
-			id:        th.id,
-			stream:    s,
-			bp:        bp,
-			btb:       btb,
-			fe:        th.fe.Clone(s, bp, btb, hier.L1I, m),
-			ren:       th.ren.Clone(m),
-			rob:       th.rob.Clone(m),
-			workload:  th.workload,
-			committed: th.committed,
-		}
-		nth.lsq = th.lsq.Clone(hier.L1D, hier.EQ, n.q, m)
-		n.bindCommit(nth)
-		n.ctxs = append(n.ctxs, nth)
-	}
-	n.bindCallbacks()
-	return n, nil
-}
-
-// CloneActive returns an independent deep copy of a machine that is
-// mid-run: pending memory events, busy MSHRs and queued fetches are
-// carried across and re-pointed at the clone through a mem.Remap. Since
-// PR 8's event refactor every event is a Ref naming its handler (cache,
-// LSQ, front end, engine) and payload (mshr, uop, nil), so the clone
-// registers the handler identities it creates and resolves every Ref
-// afterwards; an unresolvable Ref — a test-only closure wrapper, or a
-// payload kind the resolver does not know — returns an error and the
-// caller falls back to a quiescent clone site.
-//
-// One gate remains from Clone: no instruction may be in execution
-// (inExec == 0). Such boundaries are dense — measured ~1 per 5 cycles on
-// the Table 1 machine — whereas fully-quiescent (empty event queue)
-// boundaries essentially never occur mid-run, which is the point of this
-// function. Streams must be forkable, as for Clone.
+// Two gates apply. No instruction may be in execution (inExec == 0);
+// such boundaries are dense — measured ~1 per 5 cycles on the Table 1
+// machine. And every context's stream must be forkable (trace.Forkable)
+// so the clone can replay the same instruction suffix.
 func (e *Engine) CloneActive() (*Engine, error) {
 	return e.cloneActive(nil)
 }

@@ -68,22 +68,6 @@ type Config struct {
 	CacheRdPorts int
 	CacheWrPorts int
 
-	// StatsSampleEvery samples the queues' per-cycle occupancy/readiness
-	// statistics every n cycles instead of every cycle (0 or 1: every
-	// cycle, exact averages). The scans walk every occupied queue slot,
-	// so sampling speeds up large-queue simulations; simulated behaviour
-	// (IPC, cycle counts) is unaffected. It applies to whichever queue
-	// design is selected.
-	StatsSampleEvery int
-
-	// NoSkip disables event-driven idle-cycle skipping: every cycle is
-	// stepped individually even when the machine is provably frozen until
-	// the next scheduled event. Skipping is bit-identical by construction
-	// (the conformance tests compare full machine state and statistics
-	// with and without it), so this knob exists for cross-checking and
-	// debugging, not for correctness.
-	NoSkip bool
-
 	BranchPredictor bpred.Config
 	BTBEntries      int
 	BTBWays         int
@@ -217,16 +201,11 @@ func (c *Config) forContexts(n int) (robEach, lsqEach int) {
 func (c Config) buildQueue() (iq.Queue, error) {
 	switch c.Queue {
 	case QueueIdeal:
-		q := iq.NewConventional(c.QueueSize)
-		q.SetStatsSampling(c.StatsSampleEvery)
-		return q, nil
+		return iq.NewConventional(c.QueueSize), nil
 	case QueueSegmented:
 		sc := c.Segmented
 		if sc.Segments == 0 {
 			sc = core.DefaultConfig(c.QueueSize, 0)
-		}
-		if sc.StatsEvery == 0 {
-			sc.StatsEvery = c.StatsSampleEvery
 		}
 		return core.New(sc)
 	case QueuePrescheduled:
@@ -234,26 +213,17 @@ func (c Config) buildQueue() (iq.Queue, error) {
 		if pc.Lines == 0 {
 			pc = presched.DefaultConfig(c.QueueSize)
 		}
-		if pc.StatsEvery == 0 {
-			pc.StatsEvery = c.StatsSampleEvery
-		}
 		return presched.New(pc)
 	case QueueFIFO:
 		fc := c.FIFO
 		if fc.FIFOs == 0 {
 			fc = fifoiq.DefaultConfig(c.QueueSize)
 		}
-		if fc.StatsEvery == 0 {
-			fc.StatsEvery = c.StatsSampleEvery
-		}
 		return fifoiq.New(fc)
 	case QueueDistance:
 		dc := c.Distance
 		if dc.Lines == 0 {
 			dc = distiq.DefaultConfig(c.QueueSize)
-		}
-		if dc.StatsEvery == 0 {
-			dc.StatsEvery = c.StatsSampleEvery
 		}
 		return distiq.New(dc)
 	}

@@ -34,12 +34,6 @@ type Engine struct {
 	inExec int // issued instructions whose results are outstanding
 	seq    int64
 
-	// Cycle-skipping telemetry (not part of the simulated machine state:
-	// excluded from the run's stats.Set so skip and no-skip runs stay
-	// byte-comparable).
-	skippedCycles int64 // cycles elided by event-driven skipping
-	skipWindows   int64 // skip windows taken
-
 	// tryIssueFn is bound once at construction so the issue loop passes no
 	// fresh closure per call. It reads e.cycle, which equals the cycle
 	// being stepped throughout Step.
@@ -56,7 +50,7 @@ type Engine struct {
 	// Engine-level demand telemetry for prefix sharing: per-context
 	// high-watermarks of ROB and LSQ occupancy (the max across contexts,
 	// since forContexts divides both capacities evenly). Excluded from
-	// the run's stats.Set, like the skip telemetry above.
+	// the run's stats.Set.
 	demROB iq.Watermark
 	demLSQ iq.Watermark
 }
@@ -257,7 +251,7 @@ func (e *Engine) Step() {
 	e.q.BeginCycle(c)
 
 	// 4. Issue and begin execution.
-	issuedN := e.issue(c)
+	e.issue(c)
 
 	// 5. The LSQs start eligible cache accesses and drain retired stores.
 	for _, th := range e.ctxs {
@@ -265,8 +259,7 @@ func (e *Engine) Step() {
 	}
 
 	// 6. In-order dispatch from the front-end buffers, round-robin.
-	dispatchedN := e.dispatch(c)
-	if dispatchedN > 0 {
+	if e.dispatch(c) > 0 {
 		// ROB and LSQ occupancy only rise at dispatch and only fall at
 		// commit (which precedes dispatch within the cycle), so the
 		// post-dispatch value is the cycle's maximum.
@@ -307,114 +300,14 @@ func (e *Engine) Step() {
 
 	e.stRobOcc.Observe(float64(robLen))
 	e.cycle++
-
-	// 9. Event-driven idle-cycle skipping: when nothing moved this cycle
-	//    and nothing can move before the next scheduled event, advance the
-	//    clock in one jump, replaying the per-cycle statistics so the run
-	//    is bit-identical to stepping every cycle.
-	if !e.cfg.NoSkip && commits == 0 && issuedN == 0 && dispatchedN == 0 && e.inExec == 0 {
-		e.maybeSkip(c, robLen)
-	}
 }
 
-// maybeSkip elides the cycles (c, to) when the machine is provably frozen:
-// no in-flight execution, a non-committable ROB head in every context,
-// stalled-or-idle fetch, an LSQ whose only per-cycle effects are stall
-// counters, and a quiescent scheduler. The window is bounded by the next
-// event-queue entry and by the front-end buffers' next dispatch-eligible
-// instruction. Per-cycle observable state — sampled statistics, stall
-// counters, ring rotations — is replayed exactly, so a skipping run and a
-// cycle-by-cycle run produce byte-identical statistics and equal machine
-// state. Called with commits == issued == dispatched == 0 and inExec == 0,
-// after e.cycle has already advanced to c+1.
-func (e *Engine) maybeSkip(c int64, robLen int) {
-	// With no pending events nothing external can wake the machine — and
-	// the segmented design's deadlock detector must observe that state
-	// cycle by cycle, so never skip it. A non-empty event queue also
-	// keeps EndCycle's machineActive true on every elided cycle.
-	if e.hier.EQ.Len() == 0 {
-		return
-	}
-	to, _ := e.hier.EQ.NextTime()
-	// An instruction still traversing the front end becomes eligible for
-	// dispatch at its readyAt with no event attached: close the window
-	// there. (Heads already eligible are dispatch-blocked — replayed
-	// below; later buffer entries cannot overtake the head.)
-	for _, th := range e.ctxs {
-		if at, ok := th.fe.HeadReadyAt(); ok && at > c && at < to {
-			to = at
-		}
-	}
-	if to <= c+1 {
-		return
-	}
+// SkippedCycles returns 0: the engine steps every cycle and elides none.
+// It stays because the perfbench module reads it for its sim.skip_frac
+// metric (perfbench/run.go).
+func (e *Engine) SkippedCycles() int64 { return 0 }
 
-	var feClsArr [4]int
-	var lsqBlockedArr, lsqRejectedArr [4]int
-	feCls := feClsArr[:0]
-	lsqBlocked := lsqBlockedArr[:0]
-	lsqRejected := lsqRejectedArr[:0]
-	anyReadyHead := false
-	for _, th := range e.ctxs {
-		// The commit stage must stay blocked: completion times stamped in
-		// the future always carry an event at that time, so only a head
-		// already complete (or completing exactly at the window edge)
-		// can retire inside the window.
-		if h := th.rob.Head(); h != nil && h.Complete != uop.NotYet && h.Complete < to {
-			return
-		}
-		fc := th.fe.SkipClass(c)
-		if fc == pipeline.FetchSkipNo {
-			return
-		}
-		ok, blocked, rejected := th.lsq.SkipClass(c)
-		if !ok {
-			return
-		}
-		feCls = append(feCls, fc)
-		lsqBlocked = append(lsqBlocked, blocked)
-		lsqRejected = append(lsqRejected, rejected)
-		if th.fe.NextReady(c) != nil {
-			anyReadyHead = true
-		}
-	}
-	if !e.q.Quiescent(c) {
-		return
-	}
-
-	span := to - c - 1
-	if anyReadyHead {
-		// A dispatch-blocked head retries every cycle; re-run the real
-		// dispatch stage so its stall counters (ROB/LSQ/IQ) replay
-		// exactly. The queue's own per-cycle replay must come first —
-		// BeginCycle precedes dispatch within a cycle and the array
-		// designs' ring rotation feeds the dispatch placement.
-		for x := c + 1; x < to; x++ {
-			e.q.SkipCycles(x, x+1)
-			if e.dispatch(x) != 0 {
-				panic("sim: dispatch progressed inside a skipped idle window")
-			}
-		}
-	} else {
-		e.q.SkipCycles(c+1, to)
-	}
-	for i, th := range e.ctxs {
-		th.fe.SkipCycles(feCls[i], span)
-		th.lsq.SkipCycles(span, lsqBlocked[i], lsqRejected[i])
-	}
-	e.stRobOcc.ObserveN(float64(robLen), span)
-	e.skippedCycles += span
-	e.skipWindows++
-	e.cycle = to
-}
-
-// SkippedCycles returns the cycles elided by event-driven skipping.
-func (e *Engine) SkippedCycles() int64 { return e.skippedCycles }
-
-// SkipWindows returns the number of skip windows taken.
-func (e *Engine) SkipWindows() int64 { return e.skipWindows }
-
-func (e *Engine) issue(c int64) int {
+func (e *Engine) issue(c int64) {
 	issued := e.q.Issue(c, e.cfg.IssueWidth, e.tryIssueFn)
 	e.stIssued.Add(uint64(len(issued)))
 	for _, u := range issued {
@@ -440,7 +333,6 @@ func (e *Engine) issue(c int64) int {
 			e.hier.EQ.ScheduleRef(u.Complete, mem.Ref{H: e, Op: engOpWbDone, Arg: u})
 		}
 	}
-	return len(issued)
 }
 
 // dispatch shares the dispatch width round-robin: each context advances

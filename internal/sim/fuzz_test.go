@@ -8,6 +8,9 @@ import (
 	"repro/internal/mem"
 )
 
+// tinyCkptSpecs is the context set tinyCheckpoint warms.
+var tinyCkptSpecs = []ContextSpec{{Workload: "gcc", Seed: 1, Warm: 500}}
+
 // tinyCheckpoint saves a checkpoint of a deliberately small machine —
 // minimal caches, branch tables and BTB, a short warmup — so the fuzzer
 // mutates a file of a few kilobytes instead of half a megabyte.
@@ -22,7 +25,7 @@ func tinyCheckpoint(tb testing.TB) []byte {
 	cfg.BranchPredictor = bpred.Config{GlobalHistBits: 2, LocalHistBits: 2, LocalEntries: 2,
 		ChoiceHistBits: 2, LocalCtrBits: 3, GlobalCtrBits: 2, ChoiceCtrBits: 2}
 	cfg.BTBEntries, cfg.BTBWays = 4, 2
-	ck, err := NewCheckpoint(cfg, ContextSpec{Workload: "gcc", Seed: 1, Warm: 500})
+	ck, err := NewCheckpoint(cfg, tinyCkptSpecs...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -43,9 +46,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	for _, n := range []int{0, 8, 12, 20, 28, len(good) / 4, len(good) / 2, len(good) - 5, len(good) - 1} {
 		f.Add(good[:n])
 	}
-	f.Add(withU64(good, sectionOffsets(f, good).memo, maxMemoSuffix))
+	f.Add(withU64(good, sectionOffsets(f, good, tinyCkptSpecs).memo, maxMemoSuffix))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := LoadCheckpoint(bytes.NewReader(data))
+		ck, err := LoadCheckpoint(bytes.NewReader(data), tinyCkptSpecs)
 		if err != nil {
 			return
 		}

@@ -44,40 +44,6 @@ func TestGoldenCycleCounts(t *testing.T) {
 	}
 }
 
-// TestStatsSamplingDoesNotChangeBehaviour runs the same machine with and
-// without statistics sampling: the cycle count and IPC must be identical,
-// since the sampling knob only reduces how often occupancy/readiness
-// scans run.
-func TestStatsSamplingDoesNotChangeBehaviour(t *testing.T) {
-	kinds := []Config{
-		DefaultConfig(QueueIdeal, 128),
-		SegmentedConfig(128, 32, true, true),
-		PrescheduledConfig(128),
-		FIFOConfig(128),
-		DistanceConfig(128),
-	}
-	for _, base := range kinds {
-		base := base
-		t.Run(string(base.Queue), func(t *testing.T) {
-			t.Parallel()
-			r1, err := runWarm(base, "gcc", 7, 3000, 10000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sampled := base
-			sampled.StatsSampleEvery = 64
-			r2, err := runWarm(sampled, "gcc", 7, 3000, 10000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r1.Cycles != r2.Cycles || r1.Instructions != r2.Instructions {
-				t.Errorf("sampling changed behaviour: cycles %d vs %d, insts %d vs %d",
-					r1.Cycles, r2.Cycles, r1.Instructions, r2.Instructions)
-			}
-		})
-	}
-}
-
 // TestRunDeterminism runs every design twice with an identical
 // configuration, seed and workload, and requires the full statistics dump
 // to be byte-identical — the property every experiment in the repository

@@ -59,7 +59,7 @@ func TestMultiContextCheckpointConformance(t *testing.T) {
 				if err := ck.Save(&buf); err != nil {
 					t.Fatal(err)
 				}
-				loaded, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
+				loaded, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), specs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +118,7 @@ func TestCheckpointV1GoldenRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	_, err = LoadCheckpoint(f)
+	_, err = LoadCheckpoint(f, nil)
 	if err == nil {
 		t.Fatal("v1 checkpoint loaded without error")
 	}
@@ -150,7 +150,7 @@ func TestCheckpointV2RoundTripBytes(t *testing.T) {
 			if err := ck.Save(&first); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := LoadCheckpoint(bytes.NewReader(first.Bytes()))
+			loaded, err := LoadCheckpoint(bytes.NewReader(first.Bytes()), specs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,43 +186,5 @@ func TestMultiContextCheckpointStoreKey(t *testing.T) {
 	swapped := CheckpointKey(&cfg, []ContextSpec{specs[1], specs[0]})
 	if swapped == key {
 		t.Fatal("context order does not change the store key")
-	}
-}
-
-// TestSMTCheckpointForkSkipConformance extends the skip-vs-no-skip suite
-// to multi-context forks from checkpoints: two forks of one warmed
-// 2- and 4-context checkpoint, one skipping and one stepping, must stay
-// bit-identical — per-context statistics included.
-func TestSMTCheckpointForkSkipConformance(t *testing.T) {
-	for _, nctx := range []int{2, 4} {
-		nctx := nctx
-		t.Run(fmt.Sprintf("%dctx", nctx), func(t *testing.T) {
-			t.Parallel()
-			ck, err := NewCheckpoint(DistanceConfig(256), multiCtxSpecs(nctx, 30_000)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := func(noSkip bool) (*Result, *Engine) {
-				cfg := DistanceConfig(256)
-				cfg.NoSkip = noSkip
-				p, err := ck.Fork(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := p.Run(8000)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return r, p
-			}
-			rSkip, eSkip := run(false)
-			rStep, eStep := run(true)
-			for i := 0; i < nctx; i++ {
-				if _, ok := rSkip.Stats.Get(fmt.Sprintf("thread%d_committed", i)); !ok {
-					t.Fatalf("per-context stats missing for context %d", i)
-				}
-			}
-			requireSkipEquivalence(t, rSkip, rStep, eSkip, eStep)
-		})
 	}
 }

@@ -62,11 +62,6 @@ var ckptMagic = [8]byte{'I', 'Q', 'C', 'K', 'P', 'T', '1', '\n'}
 // it is almost always empty, so anything enormous is corruption.
 const maxMemoSuffix = 1 << 24
 
-// maxCheckpointContexts bounds the decoded context count. The SMT grid
-// tops out at a handful of hardware contexts; anything larger is
-// corruption, not a machine we can build.
-const maxCheckpointContexts = 64
-
 // GeometryFingerprint hashes the parts of the configuration a checkpoint's
 // warmed state depends on: the memory hierarchy and the branch-structure
 // geometry. Two configurations with equal fingerprints can fork from the
@@ -170,7 +165,13 @@ func (ck *Checkpoint) Save(w io.Writer) error {
 // (workload, seed) and fast-forwarded to the recorded frontier, and the
 // pipeline starts empty at cycle zero. The result forks exactly like the
 // checkpoint that was saved.
-func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
+//
+// want is the context set the caller expects the file to hold. Each
+// context's (workload, seed, warm) must equal it, checked as soon as it
+// is decoded: the frontier is bounded only by the warm budget, and the
+// fast-forward to it regenerates that many instructions, so a file must
+// not be able to name its own budget.
+func LoadCheckpoint(r io.Reader, want []ContextSpec) (*Checkpoint, error) {
 	br := bufio.NewReader(r)
 	cr := codec.NewReader(br)
 
@@ -211,8 +212,8 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err := cr.Err(); err != nil {
 		return nil, err
 	}
-	if nctx < 1 || nctx > maxCheckpointContexts {
-		return nil, fmt.Errorf("sim: checkpoint context count %d implausible", nctx)
+	if nctx < 1 || int(nctx) != len(want) {
+		return nil, fmt.Errorf("sim: checkpoint holds %d contexts, wanted %d", nctx, len(want))
 	}
 	specs := make([]ContextSpec, nctx)
 	poss := make([]int64, nctx)
@@ -227,7 +228,10 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		if err := cr.Err(); err != nil {
 			return nil, err
 		}
-		if poss[i] < 0 || specs[i].Warm < 0 || poss[i] > specs[i].Warm {
+		if specs[i] != want[i] {
+			return nil, fmt.Errorf("sim: checkpoint context %d is %+v, wanted %+v", i, specs[i], want[i])
+		}
+		if poss[i] < 0 || poss[i] > specs[i].Warm {
 			return nil, fmt.Errorf("sim: checkpoint context %d frontier %d inconsistent with warmup %d",
 				i, poss[i], specs[i].Warm)
 		}

@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/codec"
 )
@@ -27,7 +29,7 @@ func TestSaveLoadForkMatchesInMemoryFork(t *testing.T) {
 	if err := ck.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
+	loaded, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), []ContextSpec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +63,14 @@ func TestSaveLoadForkMatchesInMemoryFork(t *testing.T) {
 	}
 }
 
+// testCkptSpecs is the context set saveTestCheckpoint warms.
+var testCkptSpecs = []ContextSpec{{Workload: "gcc", Seed: 7, Warm: 20_000}}
+
 // saveTestCheckpoint builds and serializes a small checkpoint once for the
 // corruption tests.
 func saveTestCheckpoint(t *testing.T) []byte {
 	t.Helper()
-	ck, err := NewCheckpoint(DefaultConfig(QueueIdeal, 128), ContextSpec{Workload: "gcc", Seed: 7, Warm: 20_000})
+	ck, err := NewCheckpoint(DefaultConfig(QueueIdeal, 128), testCkptSpecs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +92,10 @@ type ckptOffsets struct {
 // memo-suffix length field of the one-context checkpoint file b. They sit
 // back to back just before the (empty) memo, which is followed by the
 // hierarchy section and the 4-byte trailer, so the offsets follow from
-// re-encoding the loaded sections.
-func sectionOffsets(tb testing.TB, b []byte) ckptOffsets {
+// re-encoding the loaded sections. want is the file's context set.
+func sectionOffsets(tb testing.TB, b []byte, want []ContextSpec) ckptOffsets {
 	tb.Helper()
-	ck, err := LoadCheckpoint(bytes.NewReader(b))
+	ck, err := LoadCheckpoint(bytes.NewReader(b), want)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -129,7 +134,7 @@ func withU64(b []byte, off int, v uint64) []byte {
 // would be 64 MiB to 1 GiB.
 func TestLoadCheckpointBoundsAllocation(t *testing.T) {
 	good := saveTestCheckpoint(t)
-	off := sectionOffsets(t, good)
+	off := sectionOffsets(t, good, testCkptSpecs)
 	bad := map[string][]byte{
 		"memo length":             withU64(good, off.memo, maxMemoSuffix),
 		"BTB entries":             withU64(good, off.btb, 1<<24),
@@ -140,7 +145,7 @@ func TestLoadCheckpointBoundsAllocation(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			_, err := LoadCheckpoint(bytes.NewReader(b))
+			_, err := LoadCheckpoint(bytes.NewReader(b), testCkptSpecs)
 			runtime.ReadMemStats(&after)
 			if err == nil {
 				t.Fatal("corrupt checkpoint loaded without error")
@@ -157,10 +162,10 @@ func TestLoadCheckpointBoundsAllocation(t *testing.T) {
 // with an error, never a panic or a silently wrong machine.
 func TestLoadCheckpointRejectsDamage(t *testing.T) {
 	good := saveTestCheckpoint(t)
-	if _, err := LoadCheckpoint(bytes.NewReader(good)); err != nil {
+	if _, err := LoadCheckpoint(bytes.NewReader(good), testCkptSpecs); err != nil {
 		t.Fatalf("pristine file failed to load: %v", err)
 	}
-	off := sectionOffsets(t, good)
+	off := sectionOffsets(t, good, testCkptSpecs)
 
 	damage := map[string]func([]byte) []byte{
 		"empty": func(b []byte) []byte { return nil },
@@ -204,7 +209,7 @@ func TestLoadCheckpointRejectsDamage(t *testing.T) {
 		f := f
 		t.Run(name, func(t *testing.T) {
 			b := f(append([]byte(nil), good...))
-			if _, err := LoadCheckpoint(bytes.NewReader(b)); err == nil {
+			if _, err := LoadCheckpoint(bytes.NewReader(b), testCkptSpecs); err == nil {
 				t.Fatal("damaged checkpoint loaded without error")
 			} else {
 				t.Logf("rejected: %v", err)
@@ -224,10 +229,43 @@ func TestLoadCheckpointRejectsCfgTamper(t *testing.T) {
 		t.Fatal("config JSON not found in file")
 	}
 	b[i+len(`"BTBEntries":`)] = '8' // 4096 -> 8096
-	if _, err := LoadCheckpoint(bytes.NewReader(b)); err == nil {
+	if _, err := LoadCheckpoint(bytes.NewReader(b), testCkptSpecs); err == nil {
 		t.Fatal("tampered config loaded without error")
 	} else {
 		t.Logf("rejected: %v", err)
+	}
+}
+
+// TestLoadCheckpointRejectsForgedBudget: a file claiming a huge warm
+// budget and frontier, with its context-set fingerprint recomputed to
+// match, must fail fast. Loading fast-forwards a regenerated stream to
+// the frontier, so the claim has to be refused before that runs.
+func TestLoadCheckpointRejectsForgedBudget(t *testing.T) {
+	good := saveTestCheckpoint(t)
+	off := sectionOffsets(t, good, testCkptSpecs)
+	forged := testCkptSpecs[0]
+	forged.Warm = 1 << 50
+	// The warm budget and frontier sit just before the predictor section;
+	// the context-set fingerprint follows magic, version and geometry.
+	b := withU64(good, off.bp-16, uint64(forged.Warm))
+	b = withU64(b, off.bp-8, uint64(forged.Warm))
+	b = withU64(b, 20, ContextSetFingerprint([]ContextSpec{forged}))
+	done := make(chan error, 1)
+	go func() {
+		_, err := LoadCheckpoint(bytes.NewReader(b), testCkptSpecs)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("forged checkpoint loaded without error")
+		}
+		if strings.Contains(err.Error(), "fingerprint") {
+			t.Fatalf("forgery is not self-consistent: %v", err)
+		}
+		t.Logf("rejected: %v", err)
+	case <-time.After(time.Second):
+		t.Fatal("loading a forged warm budget did not return within a second")
 	}
 }
 
@@ -312,7 +350,7 @@ func TestCheckpointStoreMissOnGeometryChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := LoadCheckpoint(f); err != nil {
+	if _, err := LoadCheckpoint(f, []ContextSpec{spec}); err != nil {
 		t.Fatalf("rebuilt store file unloadable: %v", err)
 	}
 }

@@ -45,16 +45,6 @@ func (m *Mean) Observe(v float64) {
 	}
 }
 
-// ObserveN records the same sample n times, exactly as n sequential
-// Observe calls would (the loop keeps the floating-point accumulation
-// bit-identical to the unbatched form — callers replaying skipped idle
-// cycles depend on that, so do not replace it with sum += v*n).
-func (m *Mean) ObserveN(v float64, n int64) {
-	for ; n > 0; n-- {
-		m.Observe(v)
-	}
-}
-
 // Value returns the arithmetic mean of all samples, or 0 with no samples.
 func (m *Mean) Value() float64 {
 	if m.count == 0 {
