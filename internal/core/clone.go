@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/iq"
-	"repro/internal/stats"
 	"repro/internal/uop"
 )
 
@@ -43,49 +42,44 @@ func (t regTable) clone(m *uop.CloneMap) regTable {
 	return n
 }
 
-// CloneIQ implements uop.IQState: the entry rides along whenever its
-// instruction is remapped through a clone map. This covers issued-but-
-// not-written-back instructions too — their entries have already left
-// the segments but still carry the chain memberships that writeback
-// releases.
-func (e *entry) CloneIQ(clone *uop.UOp) any {
-	ne := new(entry)
-	*ne = *e
-	ne.u = clone
-	return ne
-}
-
-// Clone implements iq.Queue: a deep copy of the segments, chain-wire
-// indexes, promotable bits, crossing heap, chain pool, wire pipeline,
-// register table and predictors, with every held instruction remapped
-// through m. Each resident entry's clone is the one CloneIQ attached to
-// the remapped instruction, so segments, member lists and uops agree on
-// entry identity. Scratch buffers and the entry freelist are not carried
+// Clone implements iq.Queue: a deep copy of the entry arena, segments,
+// chain-wire indexes, promotable bits, crossing heap, chain pool, wire
+// pipeline, register table and predictors. The arena is copied slot for
+// slot, so every handle — in the segments, member lists, crossing heap
+// and scoreboard — names the same entry in the clone; each live entry's
+// instruction is remapped through m and given its handle as its IQ value.
+// That covers issued-but-not-written-back entries too, which carry the
+// chain memberships writeback releases. Scratch buffers are not carried
 // over.
 func (q *SegmentedIQ) Clone(m *uop.CloneMap) iq.Queue {
 	n := new(SegmentedIQ)
 	*n = *q
 	n.candScratch = nil
 	n.outScratch = nil
-	n.moveReady = nil
-	n.moveStore = nil
-	n.entryPool = nil
-	n.segs = make([][]*entry, len(q.segs))
-	// byID is rebuilt from the cloned segments: issued entries were
-	// untracked at issue, so the scoreboard never dereferences their
-	// (nil) slots.
-	n.byID = make([]*entry, len(q.byID))
-	for k, seg := range q.segs {
-		if seg == nil {
-			continue
+	n.moveBits = nil
+	n.arena = append(make([]entry, 0, cap(q.arena)), q.arena...)
+	for i := range n.arena {
+		if u := n.arena[i].u; u != nil {
+			c := m.Get(u)
+			c.IQ = q.boxed[i]
+			n.arena[i].u = c
 		}
-		ns := make([]*entry, len(seg))
-		for i, e := range seg {
-			ne := m.Get(e.u).IQ.(*entry)
-			ns[i] = ne
-			n.byID[ne.id] = ne
-		}
-		n.segs[k] = ns
+	}
+	n.free = append([]int32(nil), q.free...)
+	// The boxed handles are immutable: share them, clipped so that growth
+	// on either side reallocates.
+	n.boxed = q.boxed[:len(q.boxed):len(q.boxed)]
+	n.pos = append([]int32(nil), q.pos...)
+	n.posOff = append([]int32(nil), q.posOff...)
+	n.segBuf = make([][]int32, len(q.segBuf))
+	n.keyBuf = make([][]int64, len(q.keyBuf))
+	n.segs = make([][]int32, len(q.segs))
+	n.keys = make([][]int64, len(q.keys))
+	for k := range q.segs {
+		n.segBuf[k] = append([]int32(nil), q.segBuf[k]...)
+		n.keyBuf[k] = append([]int64(nil), q.keyBuf[k]...)
+		off, l := int(q.posOff[k]), len(q.segs[k])
+		n.segs[k], n.keys[k] = n.segBuf[k][off:off+l], n.keyBuf[k][off:off+l]
 	}
 	n.readyW = make([][]uint64, len(q.readyW))
 	n.storeW = make([][]uint64, len(q.storeW))
@@ -101,19 +95,12 @@ func (q *SegmentedIQ) Clone(m *uop.CloneMap) iq.Queue {
 	for i, u := range q.unresolved {
 		n.unresolved[i] = m.Get(u)
 	}
-	// The member lists keep their order (delivery order is not observable,
-	// but clones stay field-for-field equal to their originals); every
-	// listed entry is resident, so its clone is the one CloneIQ attached.
+	n.memberOcc = append([]uint64(nil), q.memberOcc...)
 	n.members = make([][]member, len(q.members))
 	for li, l := range q.members {
-		if len(l) == 0 {
-			continue
+		if len(l) > 0 {
+			n.members[li] = append([]member(nil), l...)
 		}
-		nl := make([]member, len(l))
-		for i, mb := range l {
-			nl[i] = member{e: m.Get(mb.e.u).IQ.(*entry), ref: mb.ref}
-		}
-		n.members[li] = nl
 	}
 	n.rows = make([][]int32, len(q.rows))
 	for w, l := range q.rows {
@@ -125,7 +112,7 @@ func (q *SegmentedIQ) Clone(m *uop.CloneMap) iq.Queue {
 	n.hmp = q.hmp.Clone()
 	n.lrp = q.lrp.Clone()
 	n.prevFree = append([]int(nil), q.prevFree...)
-	n.stSegOcc = append([]stats.Mean(nil), q.stSegOcc...)
+	n.segOccSum = append([]int64(nil), q.segOccSum...)
 	n.demChains.Steps = q.demChains.CloneSteps()
 	return n
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/isa"
 	"repro/internal/uop"
 )
@@ -86,9 +88,10 @@ func (cr *chainRef) observe(s signal, now int64) {
 	}
 }
 
-// entry is the segmented IQ's per-instruction state. It lives from
-// dispatch to writeback (chains are deallocated at head writeback, after
-// the entry has left the queue segments).
+// entry is the segmented IQ's per-instruction state, held in the queue's
+// arena. It lives from dispatch to writeback (chains are deallocated at
+// head writeback, after the entry has left the queue segments); its arena
+// slot is then reused.
 type entry struct {
 	u *uop.UOp
 	// seq caches u.Seq, the key segments are sorted by.
@@ -97,12 +100,9 @@ type entry struct {
 	// segments: a batch-promotion candidate in transit, the entry deadlock
 	// recovery recycles, or an issued instruction.
 	seg int
-	// id is the entry's stable scoreboard handle, assigned once and kept
-	// across pool recycling. pos is the entry's slot in its segment —
-	// segments are kept seq-sorted, so pos doubles as the entry's bit
-	// position in the segment's ready/store words.
-	id  int32
-	pos int32
+	// id is the entry's arena handle, which is also its scoreboard handle.
+	// The queue's pos[id] locates it in its segment (SegmentedIQ.slot).
+	id int32
 	// arrived is the cycle the entry entered its current segment (or was
 	// dispatched); it may not move again, or issue, in that same cycle.
 	arrived int64
@@ -179,16 +179,19 @@ func (e *entry) crossing(thr int, now int64) (below bool, at int64) {
 }
 
 // observe applies a chain-wire assertion to all memberships at tick now.
-// Signals travel on real wires, so an entry with no membership on one
-// ignores them without reading refs.
+// Signals travel on real wires, so only memberships on the signal's wire
+// (bits of wired) can change, and the summary is re-derived only then.
 func (e *entry) observe(s signal, now int64) {
-	if e.wired == 0 {
-		return
+	hit := false
+	for w := e.wired; w != 0; w &= w - 1 {
+		if cr := &e.refs[bits.TrailingZeros8(w)]; cr.ch == s.ch {
+			cr.observe(s, now)
+			hit = true
+		}
 	}
-	for i := 0; i < e.nrefs; i++ {
-		e.refs[i].observe(s, now)
+	if hit {
+		e.summarize()
 	}
-	e.summarize()
 }
 
 // regEntry is one register's row in the register information table of

@@ -56,7 +56,7 @@ func TestFigure1DelayValues(t *testing.T) {
 		uops = append(uops, u)
 	}
 	for i, u := range uops {
-		if got := u.IQ.(*entry).effDelay(q.ticks); got != want[i] {
+		if got := q.ent(u).effDelay(q.ticks); got != want[i] {
 			t.Errorf("i%d delay = %d, want %d", i, got, want[i])
 		}
 	}
@@ -68,7 +68,7 @@ func TestFigure1DelayValues(t *testing.T) {
 		t.Errorf("pure-ALU example allocated %d chains", q.ChainsInUse())
 	}
 	// Its delay must be the max of the two operand paths (r6: 5, r7: 4).
-	if got := uops[8].IQ.(*entry).effDelay(q.ticks); got != 5 {
+	if got := q.ent(uops[8]).effDelay(q.ticks); got != 5 {
 		t.Errorf("i8 delay = %d, want max(5,4) = 5", got)
 	}
 }
@@ -81,9 +81,9 @@ func TestFigure1SegmentPlacement(t *testing.T) {
 	// Plant the figure's delay values as frozen entries in the top
 	// segment and let promotion distribute them.
 	delays := []int{0, 0, 2, 3, 5, 1, 2, 3, 5}
-	entries := make([]*entry, len(delays))
+	hs := make([]int32, len(delays))
 	for i, d := range delays {
-		entries[i] = addRaw(q, 2, int64(i), d, -1)
+		hs[i] = addRaw(q, 2, int64(i), d, -1).id
 	}
 	// Segment-0 entries must not issue during settling (they are ready
 	// uops); run promotion-only cycles.
@@ -91,8 +91,8 @@ func TestFigure1SegmentPlacement(t *testing.T) {
 		q.BeginCycle(cycle)
 	}
 	wantSeg := []int{0, 0, 1, 1, 2, 0, 1, 1, 2}
-	for i, e := range entries {
-		if e.seg != wantSeg[i] {
+	for i, h := range hs {
+		if e := &q.arena[h]; e.seg != wantSeg[i] {
 			t.Errorf("i%d in segment %d, want %d (delay %d)", i, e.seg, wantSeg[i], delays[i])
 		}
 	}

@@ -11,14 +11,16 @@ import (
 // reach rather than the queue's occupancy. members lists the chain
 // memberships of resident entries by (wire, segment), at
 // members[w*Segments+k], so the pipelined delivery at segment k visits only
-// that segment's members; rows[w] lists the valid register-table rows
+// that segment's members, and bit w*Segments+k of memberOcc says whether
+// that list is non-empty; rows[w] lists the valid register-table rows
 // naming wire w. Both hold every generation of the wire (observe filters
 // on the full chain), and both are kept with swap-remove slots recorded in
 // the referenced chainRef or regEntry.
 
-// member is one chain membership of a resident entry: e.refs[ref].
+// member is one chain membership of a resident entry: the ref-th
+// reference of the entry at arena handle h.
 type member struct {
-	e   *entry
+	h   int32
 	ref int32
 }
 
@@ -46,7 +48,7 @@ func (q *SegmentedIQ) unlink(e *entry) {
 }
 
 // linkWires enters e's memberships on real wires into the member lists of
-// its segment, growing members to cover each wire.
+// its segment, growing members (and memberOcc) to cover each wire.
 func (q *SegmentedIQ) linkWires(e *entry) {
 	for w := e.wired; w != 0; w &= w - 1 {
 		i := bits.TrailingZeros8(w)
@@ -55,9 +57,13 @@ func (q *SegmentedIQ) linkWires(e *entry) {
 		for len(q.members) <= base {
 			q.members = append(q.members, make([][]member, q.cfg.Segments)...)
 		}
+		for len(q.memberOcc) < bitvec.Words(len(q.members)) {
+			q.memberOcc = append(q.memberOcc, 0)
+		}
 		li := base + e.seg
 		cr.slot = int32(len(q.members[li]))
-		q.members[li] = append(q.members[li], member{e: e, ref: int32(i)})
+		q.members[li] = append(q.members[li], member{h: e.id, ref: int32(i)})
+		bitvec.Set(q.memberOcc, li)
 	}
 }
 
@@ -69,25 +75,40 @@ func (q *SegmentedIQ) unlinkWires(e *entry) {
 		l := q.members[li]
 		last := l[len(l)-1]
 		l[cr.slot] = last
-		last.e.refs[last.ref].slot = cr.slot
-		l[len(l)-1] = member{}
+		q.arena[last.h].refs[last.ref].slot = cr.slot
 		q.members[li] = l[:len(l)-1]
+		if len(l) == 1 {
+			bitvec.Clear(q.memberOcc, li)
+		}
 	}
 }
 
 // deliver applies a signal to the members of its wire resident in
 // segments lo..hi, re-deriving each one's promotable bit.
 func (q *SegmentedIQ) deliver(s signal, lo, hi int) {
-	base := s.ch.id * q.cfg.Segments
-	if base >= len(q.members) {
-		return
-	}
 	for k := lo; k <= hi; k++ {
-		for _, m := range q.members[base+k] {
-			m.e.refs[m.ref].observe(s, q.ticks)
-			m.e.summarize()
-			q.updateElig(m.e)
+		if li, ok := q.memberList(s, k); ok {
+			q.deliverList(s, li)
 		}
+	}
+}
+
+// memberList returns the index of the member list of s's wire in segment
+// k, and whether that list is non-empty. Most signals find no member of
+// their wire in a segment; the occupancy bit answers that without loading
+// the list.
+func (q *SegmentedIQ) memberList(s signal, k int) (int, bool) {
+	li := s.ch.id*q.cfg.Segments + k
+	return li, li < len(q.members) && bitvec.Test(q.memberOcc, li)
+}
+
+// deliverList applies a signal to the members of list li.
+func (q *SegmentedIQ) deliverList(s signal, li int) {
+	for _, m := range q.members[li] {
+		e := &q.arena[m.h]
+		e.refs[m.ref].observe(s, q.ticks)
+		e.summarize()
+		q.updateElig(e)
 	}
 }
 
@@ -109,7 +130,7 @@ func (q *SegmentedIQ) deliver(s signal, lo, hi int) {
 func (q *SegmentedIQ) updateElig(e *entry) {
 	if k := e.seg; k > 0 {
 		below, at := e.crossing(threshold(k-1), q.ticks)
-		bitvec.Assign(q.eligW[k], int(e.pos), below)
+		bitvec.Assign(q.eligW[k], q.slot(k, e.id), below)
 		if at != e.cross {
 			q.setCrossing(e, at)
 		}
@@ -132,9 +153,11 @@ func (q *SegmentedIQ) dueCrossings() {
 		if !ok {
 			return
 		}
-		if e := q.byID[it.V]; e != nil && e.cross == it.At {
+		// Entries leaving a segment drop their crossing (unlink), so a
+		// live item names a resident entry.
+		if e := &q.arena[it.V]; e.cross == it.At {
 			e.cross = 0
-			bitvec.Set(q.eligW[e.seg], int(e.pos))
+			bitvec.Set(q.eligW[e.seg], q.slot(e.seg, it.V))
 		}
 	}
 }

@@ -10,18 +10,62 @@ import (
 	"repro/internal/uop"
 )
 
-// checkIndex verifies the chain-wire indexes, entry summaries, promotable
-// bits and crossing heap against the segments and the register table:
-// every entry's summary matches its refs; members holds exactly the
-// resident entries' memberships on real wires, each once, in the list of
-// its wire and its entry's segment, with matching slot back-pointers, and
-// no issued or off-segment entry; rows holds exactly the valid real-wire
-// rows; no countdown reads negative; every promotable bit equals the delay
-// test recomputed from scratch; and every resident entry short of its
-// threshold with a future crossing has a live heap item at exactly that
-// tick. Valid between queue operations, not inside BeginCycle's promotion
-// pass.
+// checkIndex verifies the entry arena, the chain-wire indexes, entry
+// summaries, promotable bits and crossing heap against the segments and
+// the register table:
+//   - arena: every slot's id is its index and boxed[h] is handle h; free
+//     lists each handle once, and only empty slots (no instruction); every
+//     other slot is live, and its instruction's IQ value names it;
+//   - segments: every resident (live, on a segment) handle appears in
+//     exactly one segment, at its recorded segment and pos; keys[k] is
+//     segment k's entries' seq, strictly increasing; issued entries (live,
+//     off the segments) appear in none;
+//   - every entry's summary matches its refs; members holds exactly the
+//     resident entries' memberships on real wires, each once, in the list
+//     of its wire and its entry's segment, with matching slot
+//     back-pointers; rows holds exactly the valid real-wire rows;
+//   - no countdown reads negative; every promotable bit equals the delay
+//     test recomputed from scratch; and every resident entry short of its
+//     threshold with a future crossing has a live heap item at exactly that
+//     tick.
+//
+// Valid between queue operations, not inside BeginCycle's promotion pass.
 func (q *SegmentedIQ) checkIndex() error {
+	if len(q.pos) != len(q.arena) || len(q.boxed) != len(q.arena) {
+		return fmt.Errorf("arena holds %d slots, pos %d, boxed %d", len(q.arena), len(q.pos), len(q.boxed))
+	}
+	isFree := make([]bool, len(q.arena))
+	for _, h := range q.free {
+		if h < 0 || int(h) >= len(q.arena) || isFree[h] {
+			return fmt.Errorf("free list holds handle %d twice or out of range", h)
+		}
+		isFree[h] = true
+	}
+	resident := 0
+	for h := range q.arena {
+		e := &q.arena[h]
+		if int(e.id) != h || q.boxed[h] != any(handle(h)) {
+			return fmt.Errorf("arena slot %d records id %d, boxed %v", h, e.id, q.boxed[h])
+		}
+		switch {
+		case isFree[h] && e.u != nil:
+			return fmt.Errorf("free handle %d holds instruction seq %d", h, e.u.Seq)
+		case isFree[h]:
+			continue
+		case e.u == nil:
+			return fmt.Errorf("handle %d is neither free nor live", h)
+		case e.u.IQ != any(handle(h)):
+			return fmt.Errorf("entry %d: its instruction seq %d names %v", h, e.u.Seq, e.u.IQ)
+		}
+		if e.seg >= 0 {
+			resident++
+		} else if e.u.IssueCycle == uop.NotYet {
+			return fmt.Errorf("entry %d (seq %d) is off the segments but not issued", h, e.u.Seq)
+		}
+	}
+	if resident != q.total {
+		return fmt.Errorf("%d resident entries, queue counts %d", resident, q.total)
+	}
 	heap := make(map[iq.Deadline[int32]]bool, len(q.crossings))
 	for _, it := range q.crossings {
 		if it.At <= q.ticks {
@@ -29,19 +73,39 @@ func (q *SegmentedIQ) checkIndex() error {
 		}
 		heap[it] = true
 	}
+	listed := 0
 	want := 0
 	for k, seg := range q.segs {
+		keys := q.keys[k]
+		if len(keys) != len(seg) {
+			return fmt.Errorf("segment %d lists %d handles and %d keys", k, len(seg), len(keys))
+		}
+		// Both windows must sit at posOff in their buffers.
+		if off := int(q.posOff[k]); off < 0 || off+len(seg) > len(q.segBuf[k]) ||
+			cap(seg) != len(q.segBuf[k])-off || cap(keys) != len(q.keyBuf[k])-off ||
+			(len(seg) > 0 && (&seg[0] != &q.segBuf[k][off] || &keys[0] != &q.keyBuf[k][off])) {
+			return fmt.Errorf("segment %d window of %d at offset %d is not its buffers' window", k, len(seg), off)
+		}
 		for w, word := range q.eligW[k] {
 			if stray := word &^ occupied(len(seg), w); stray != 0 || (k == 0 && word != 0) {
 				return fmt.Errorf("segment %d promotable word %d = %#x with %d residents", k, w, word, len(seg))
 			}
 		}
-		for i, e := range seg {
-			if e.seg != k || int(e.pos) != i {
-				return fmt.Errorf("entry seq %d at segs[%d][%d] records seg %d pos %d", e.u.Seq, k, i, e.seg, e.pos)
+		for i, h := range seg {
+			if h < 0 || int(h) >= len(q.arena) || isFree[h] {
+				return fmt.Errorf("segs[%d][%d] holds handle %d, not a live entry", k, i, h)
 			}
-			if e.seq != e.u.Seq {
-				return fmt.Errorf("entry seq %d caches seq %d", e.u.Seq, e.seq)
+			e := &q.arena[h]
+			if e.seg != k || q.slot(k, h) != i {
+				// A handle listed twice fails here at its second listing.
+				return fmt.Errorf("entry %d (seq %d) at segs[%d][%d] records seg %d slot %d", h, e.u.Seq, k, i, e.seg, q.slot(k, h))
+			}
+			listed++
+			if e.seq != e.u.Seq || keys[i] != e.seq {
+				return fmt.Errorf("entry %d (seq %d) caches seq %d under key %d", h, e.u.Seq, e.seq, keys[i])
+			}
+			if i > 0 && keys[i-1] >= keys[i] {
+				return fmt.Errorf("segment %d keys out of order at %d: %d then %d", k, i, keys[i-1], keys[i])
 			}
 			s := *e
 			s.summarize()
@@ -87,18 +151,32 @@ func (q *SegmentedIQ) checkIndex() error {
 			if e.cross != at {
 				return fmt.Errorf("entry seq %d in segment %d records crossing %d, want %d", e.u.Seq, k, e.cross, at)
 			}
-			if at != 0 && !heap[iq.Deadline[int32]{At: at, V: e.id}] {
+			if at != 0 && !heap[iq.Deadline[int32]{At: at, V: h}] {
 				return fmt.Errorf("entry seq %d in segment %d: no heap item at its crossing %d", e.u.Seq, k, at)
 			}
 		}
 	}
+	if listed != resident {
+		// Every listed handle sits at its own recorded slot, so no handle
+		// is listed twice; equal counts mean every resident one is listed.
+		return fmt.Errorf("segments list %d handles, %d entries are resident", listed, resident)
+	}
+	if len(q.memberOcc) != bitvec.Words(len(q.members)) {
+		return fmt.Errorf("memberOcc holds %d words for %d member lists", len(q.memberOcc), len(q.members))
+	}
 	got := 0
 	for li, l := range q.members {
 		w, k := li/q.cfg.Segments, li%q.cfg.Segments
+		if bitvec.Test(q.memberOcc, li) != (len(l) > 0) {
+			return fmt.Errorf("members[%d,%d] holds %d memberships, occupancy bit %v", w, k, len(l), bitvec.Test(q.memberOcc, li))
+		}
 		for j, m := range l {
-			e := m.e
-			if e.seg < 0 || q.segs[e.seg][e.pos] != e {
-				return fmt.Errorf("members[%d,%d][%d]: entry seq %d is not resident (seg %d)", w, k, j, e.u.Seq, e.seg)
+			if m.h < 0 || int(m.h) >= len(q.arena) || isFree[m.h] {
+				return fmt.Errorf("members[%d,%d][%d]: handle %d is not a live entry", w, k, j, m.h)
+			}
+			e := &q.arena[m.h]
+			if e.seg < 0 {
+				return fmt.Errorf("members[%d,%d][%d]: entry seq %d is not resident", w, k, j, e.u.Seq)
 			}
 			if e.seg != k {
 				return fmt.Errorf("members[%d,%d][%d]: entry seq %d sits in segment %d", w, k, j, e.u.Seq, e.seg)
@@ -106,7 +184,7 @@ func (q *SegmentedIQ) checkIndex() error {
 			if e.u.IssueCycle != uop.NotYet {
 				return fmt.Errorf("members[%d,%d][%d]: entry seq %d already issued", w, k, j, e.u.Seq)
 			}
-			if int(m.ref) >= e.nrefs {
+			if m.ref < 0 || int(m.ref) >= e.nrefs {
 				return fmt.Errorf("members[%d,%d][%d]: ref %d beyond nrefs %d", w, k, j, m.ref, e.nrefs)
 			}
 			cr := &e.refs[m.ref]

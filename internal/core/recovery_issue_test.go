@@ -49,8 +49,8 @@ func TestRecoveryMovedEntryCannotIssueSameCycle(t *testing.T) {
 	if collect(q).MustGet("deadlock_recoveries") != 1 {
 		t.Fatal("recovery did not run")
 	}
-	if c.IQ.(*entry).seg != 0 || p.IQ.(*entry).seg != 1 {
-		t.Fatalf("rotation failed: c in %d, p in %d", c.IQ.(*entry).seg, p.IQ.(*entry).seg)
+	if q.ent(c).seg != 0 || q.ent(p).seg != 1 {
+		t.Fatalf("rotation failed: c in %d, p in %d", q.ent(c).seg, q.ent(p).seg)
 	}
 	if !c.IssueReady(3) {
 		t.Fatal("setup: c should be data-ready in the recovery cycle")
@@ -114,7 +114,8 @@ func TestRepeatedRecoveryKeepsSegmentsConsistent(t *testing.T) {
 		t.Helper()
 		sum := 0
 		for k := 0; k < cfg.Segments; k++ {
-			for _, e := range q.segs[k] {
+			for _, h := range q.segs[k] {
+				e := &q.arena[h]
 				if e.seg != k {
 					t.Fatalf("cycle %d: entry seq=%d thinks it is in segment %d but lives in %d",
 						cycle, e.u.Seq, e.seg, k)

@@ -15,8 +15,30 @@ import (
 // SegmentedIQ is the paper's segmented, dependence-chain-scheduled
 // instruction queue. It implements iq.Queue.
 type SegmentedIQ struct {
-	cfg    Config
-	segs   [][]*entry // segs[0] is the bottom segment / issue buffer
+	cfg Config
+	// Entries live in arena and are named by their int32 handle, the
+	// arena index (entry.id). segs[k] lists segment k's handles in
+	// sequence order and keys[k] their sequence numbers, so moving entries
+	// between segments copies plain integers and the ordered merge
+	// compares keys without touching the entries; segs[0] is the bottom
+	// segment / issue buffer. Both slices are a window, starting at
+	// posOff[k], of buffers twice the segment size (segBuf, keyBuf), and
+	// pos[h] is handle h's index in its buffer (slot, setSlot): removing a
+	// segment's oldest entries — promotion's usual move — only advances
+	// the window, and any other removal or insertion moves the shorter
+	// side of it. Handles of written-back entries wait in free for reuse;
+	// boxed[h] is handle h as the uop.UOp.IQ value, boxed once so that
+	// dispatch allocates nothing. The arena may grow, so nothing keeps a
+	// pointer into it across a dispatch.
+	segs   [][]int32
+	keys   [][]int64
+	segBuf [][]int32
+	keyBuf [][]int64
+	pos    []int32
+	posOff []int32
+	arena  []entry
+	free   []int32
+	boxed  []any
 	chains *chainPool
 	wires  *wirePipe
 	table  regTable
@@ -27,10 +49,12 @@ type SegmentedIQ struct {
 	ticks int64
 	// members indexes chain memberships by (wire, segment) and rows
 	// register-table rows by wire (index.go).
-	members [][]member
-	rows    [][]int32
+	members   [][]member
+	memberOcc []uint64
+	rows      [][]int32
 	// eligW holds the per-segment promotable bits and crossings the entry
-	// ids whose running countdowns set more of them, by tick (index.go).
+	// handles whose running countdowns set more of them, by tick
+	// (index.go).
 	eligW     [][]uint64
 	crossings iq.Deadlines[int32]
 
@@ -51,8 +75,6 @@ type SegmentedIQ struct {
 	readyW [][]uint64
 	storeW [][]uint64
 	sb     iq.Scoreboard
-	byID   []*entry // scoreboard handle -> entry
-	nextID int32
 	// unresolved holds issued non-load producers whose completion times
 	// the pipeline has not yet stamped; they resolve at the next
 	// BeginCycle (the engine sets Complete right after Issue returns). A
@@ -62,15 +84,12 @@ type SegmentedIQ struct {
 	// Scratch buffers reused across cycles so the steady-state cycle loop
 	// (BeginCycle → Issue) does not allocate. The slice Issue returns is
 	// backed by outScratch and remains valid only until the next call.
-	candScratch []*entry
+	candScratch []int32
 	outScratch  []*uop.UOp
-	// moveReady/moveStore carry the candidates' bits between the batch
-	// removal and batch insertion halves of moveSelected.
-	moveReady []bool
-	moveStore []bool
-	// entryPool recycles queue entries between writeback and dispatch, so
-	// steady-state dispatch allocates nothing either.
-	entryPool []*entry
+	// moveBits carries each candidate's ready and store bits (moveReady,
+	// moveStore) from the batch removal half of moveSelected to the batch
+	// insertion half, which adds its promotable bit (moveElig).
+	moveBits []uint8
 	// active is the number of powered segments (§7 dynamic resizing):
 	// dispatch only targets segments below it; gated segments drain and
 	// stay empty.
@@ -98,10 +117,14 @@ type SegmentedIQ struct {
 	stWireAsserts    stats.Counter
 	stOccupancy      stats.Mean
 	stActiveSegs     stats.Mean
-	stSegOcc         []stats.Mean // per-segment occupancy
-	stReadySeg0      stats.Mean
-	stReadyTotal     stats.Mean
-	stDispatchSeg    stats.Mean
+	// segOccSum sums each segment's occupancy over the cycles
+	// stOccupancy samples: seg%d_occupancy_avg is segOccSum[k] over that
+	// count, the value a per-segment stats.Mean would report, without a
+	// float accumulation per segment per cycle.
+	segOccSum     []int64
+	stReadySeg0   stats.Mean
+	stReadyTotal  stats.Mean
+	stDispatchSeg stats.Mean
 
 	demChains iq.Watermark // chains-in-use high-watermark, for prefix sharing
 }
@@ -112,14 +135,19 @@ func New(cfg Config) (*SegmentedIQ, error) {
 		return nil, err
 	}
 	q := &SegmentedIQ{
-		cfg:      cfg,
-		segs:     make([][]*entry, cfg.Segments),
-		chains:   newChainPool(cfg.MaxChains),
-		wires:    newWirePipe(cfg.Segments),
-		table:    newRegTable(cfg.Threads),
-		prevFree: make([]int, cfg.Segments),
-		active:   cfg.Segments,
-		stSegOcc: make([]stats.Mean, cfg.Segments),
+		cfg:       cfg,
+		segs:      make([][]int32, cfg.Segments),
+		keys:      make([][]int64, cfg.Segments),
+		segBuf:    make([][]int32, cfg.Segments),
+		keyBuf:    make([][]int64, cfg.Segments),
+		posOff:    make([]int32, cfg.Segments),
+		arena:     make([]entry, 0, cfg.Segments*cfg.SegSize),
+		chains:    newChainPool(cfg.MaxChains),
+		wires:     newWirePipe(cfg.Segments),
+		table:     newRegTable(cfg.Threads),
+		prevFree:  make([]int, cfg.Segments),
+		active:    cfg.Segments,
+		segOccSum: make([]int64, cfg.Segments),
 	}
 	for k := range q.prevFree {
 		q.prevFree[k] = cfg.SegSize
@@ -128,6 +156,9 @@ func New(cfg Config) (*SegmentedIQ, error) {
 	q.storeW = make([][]uint64, cfg.Segments)
 	q.eligW = make([][]uint64, cfg.Segments)
 	for k := range q.readyW {
+		q.segBuf[k] = make([]int32, 2*cfg.SegSize)
+		q.keyBuf[k] = make([]int64, 2*cfg.SegSize)
+		q.segs[k], q.keys[k] = q.segBuf[k][:0], q.keyBuf[k][:0]
 		q.readyW[k] = bitvec.New(cfg.SegSize)
 		q.storeW[k] = bitvec.New(cfg.SegSize)
 		q.eligW[k] = bitvec.New(cfg.SegSize)
@@ -202,24 +233,38 @@ func (q *SegmentedIQ) assertAt(k int, s signal) {
 	q.deliver(s, k, k)
 }
 
-// newEntry takes an entry from the pool (or allocates one), keeps its
-// stable scoreboard handle across the reset, and registers it in byID.
-func (q *SegmentedIQ) newEntry(u *uop.UOp, seg int, arrived int64) *entry {
-	var e *entry
-	if n := len(q.entryPool); n > 0 {
-		e = q.entryPool[n-1]
-		q.entryPool[n-1] = nil
-		q.entryPool = q.entryPool[:n-1]
-		id := e.id
-		*e = entry{u: u, seq: u.Seq, seg: seg, arrived: arrived, id: id}
+// handle is an entry's arena handle as stored in uop.UOp.IQ. Clones of
+// the queue copy the arena slot for slot, and Clone gives each live
+// entry's cloned instruction the same handle.
+type handle int32
+
+// newEntry initialises an arena slot for u — the most recently freed one,
+// or a new one — and returns its handle. It may grow the arena, moving
+// every entry.
+func (q *SegmentedIQ) newEntry(u *uop.UOp, seg int, arrived int64) int32 {
+	var h int32
+	if n := len(q.free); n > 0 {
+		h = q.free[n-1]
+		q.free = q.free[:n-1]
 	} else {
-		e = &entry{u: u, seq: u.Seq, seg: seg, arrived: arrived, id: q.nextID}
-		q.nextID++
-		q.byID = append(q.byID, nil)
-		q.sb.Grow(int(q.nextID))
+		h = int32(len(q.arena))
+		q.arena = append(q.arena, entry{})
+		q.pos = append(q.pos, 0)
+		q.boxed = append(q.boxed, handle(h))
+		q.sb.Grow(len(q.arena))
 	}
-	q.byID[e.id] = e
-	return e
+	q.arena[h] = entry{u: u, seq: u.Seq, seg: seg, arrived: arrived, id: h}
+	return h
+}
+
+// entryOf returns the entry u was dispatched into, if u is still queued
+// here or issued and not yet written back.
+func (q *SegmentedIQ) entryOf(u *uop.UOp) (*entry, bool) {
+	h, ok := u.IQ.(handle)
+	if !ok || int(h) >= len(q.arena) || q.arena[h].u != u {
+		return nil, false
+	}
+	return &q.arena[h], true
 }
 
 // segRemove takes e out of segment k at its recorded position, shifting
@@ -227,9 +272,9 @@ func (q *SegmentedIQ) newEntry(u *uop.UOp, seg int, arrived int64) *entry {
 // It returns e's ready/store bits so a caller moving the entry to another
 // segment can carry them along.
 func (q *SegmentedIQ) segRemove(k int, e *entry) (ready, store bool) {
-	i := int(e.pos)
+	i := q.slot(k, e.id)
 	seg := q.segs[k]
-	if i >= len(seg) || seg[i] != e {
+	if i < 0 || i >= len(seg) || seg[i] != e.id {
 		panic("core: entry not found in its segment")
 	}
 	q.unlink(e)
@@ -238,13 +283,7 @@ func (q *SegmentedIQ) segRemove(k int, e *entry) (ready, store bool) {
 	bitvec.Remove(q.readyW[k], i)
 	bitvec.Remove(q.storeW[k], i)
 	bitvec.Remove(q.eligW[k], i)
-	copy(seg[i:], seg[i+1:])
-	seg[len(seg)-1] = nil
-	seg = seg[:len(seg)-1]
-	q.segs[k] = seg
-	for j := i; j < len(seg); j++ {
-		seg[j].pos = int32(j)
-	}
+	q.removeRun(k, i, 1)
 	e.seg = -1
 	return ready, store
 }
@@ -253,34 +292,108 @@ func (q *SegmentedIQ) segRemove(k int, e *entry) (ready, store bool) {
 // shifting the tail and bit-words up, carrying e's ready/store bits with
 // it, and links it there.
 func (q *SegmentedIQ) segInsert(k int, e *entry, ready, store bool) {
-	seg := q.segs[k]
-	lo, hi := 0, len(seg)
+	keys := q.keys[k]
+	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if seg[mid].seq < e.seq {
+		if keys[mid] < e.seq {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	seg = append(seg, nil)
-	copy(seg[lo+1:], seg[lo:])
-	seg[lo] = e
-	q.segs[k] = seg
+	q.openSlot(k, lo)
+	q.segs[k][lo], q.keys[k][lo] = e.id, e.seq
+	q.setSlot(k, e.id, lo)
 	bitvec.Insert(q.readyW[k], lo, ready)
 	bitvec.Insert(q.storeW[k], lo, store)
 	bitvec.Insert(q.eligW[k], lo, false)
 	e.seg = k
-	for j := lo; j < len(seg); j++ {
-		seg[j].pos = int32(j)
-	}
 	q.link(e)
+}
+
+// slot returns the position in segment k of resident handle h.
+func (q *SegmentedIQ) slot(k int, h int32) int { return int(q.pos[h] - q.posOff[k]) }
+
+// setSlot records that handle h sits at position i of segment k.
+func (q *SegmentedIQ) setSlot(k int, h int32, i int) { q.pos[h] = int32(i) + q.posOff[k] }
+
+// removeRun takes the n entries at positions p..p+n-1 out of segment k's
+// handle and key windows by sliding whichever side of them is shorter
+// over the gap: the older entries up, the window's start with them, or
+// the younger ones down. Taking the oldest entries moves nothing.
+func (q *SegmentedIQ) removeRun(k, p, n int) {
+	seg, keys := q.segs[k], q.keys[k]
+	if p < len(seg)-p-n {
+		copy(seg[n:p+n], seg[:p])
+		copy(keys[n:p+n], keys[:p])
+		for _, h := range seg[n : p+n] {
+			q.pos[h] += int32(n)
+		}
+		q.posOff[k] += int32(n)
+		q.segs[k], q.keys[k] = seg[n:], keys[n:]
+		return
+	}
+	copy(seg[p:], seg[p+n:])
+	copy(keys[p:], keys[p+n:])
+	for _, h := range seg[p : len(seg)-n] {
+		q.pos[h] -= int32(n)
+	}
+	q.segs[k], q.keys[k] = seg[:len(seg)-n], keys[:len(keys)-n]
+}
+
+// openSlot makes room for one entry at position p of segment k, sliding
+// the shorter side of p outward: the older entries down, if the window
+// does not start at its buffer's start, or the younger ones up. The new
+// slot's contents are left to the caller.
+func (q *SegmentedIQ) openSlot(k, p int) {
+	seg, keys := q.segs[k], q.keys[k]
+	if off := int(q.posOff[k]); p < len(seg)-p && off > 0 {
+		nseg := q.segBuf[k][off-1 : off+len(seg)]
+		nkeys := q.keyBuf[k][off-1 : off+len(seg)]
+		copy(nseg, seg[:p])
+		copy(nkeys, keys[:p])
+		for _, h := range nseg[:p] {
+			q.pos[h]--
+		}
+		q.posOff[k]--
+		q.segs[k], q.keys[k] = nseg, nkeys
+		return
+	}
+	q.room(k, 1)
+	seg, keys = q.segs[k], q.keys[k]
+	seg, keys = seg[:len(seg)+1], keys[:len(keys)+1]
+	copy(seg[p+1:], seg[p:])
+	copy(keys[p+1:], keys[p:])
+	for _, h := range seg[p+1:] {
+		q.pos[h]++
+	}
+	q.segs[k], q.keys[k] = seg, keys
+}
+
+// room guarantees space for n more entries past the end of segment k's
+// window, moving the window to the start of its buffer when it has run
+// into the end.
+func (q *SegmentedIQ) room(k, n int) {
+	seg, keys := q.segs[k], q.keys[k]
+	if cap(seg)-len(seg) >= n {
+		return
+	}
+	off := q.posOff[k]
+	buf, kbuf := q.segBuf[k][:len(seg)], q.keyBuf[k][:len(seg)]
+	copy(buf, seg)
+	copy(kbuf, keys)
+	for _, h := range buf {
+		q.pos[h] -= off
+	}
+	q.posOff[k] = 0
+	q.segs[k], q.keys[k] = buf, kbuf
 }
 
 // setReady flips the ready bit of the entry behind scoreboard handle h.
 func (q *SegmentedIQ) setReady(h int32) {
-	e := q.byID[h]
-	bitvec.Set(q.readyW[e.seg], int(e.pos))
+	k := q.arena[h].seg
+	bitvec.Set(q.readyW[k], q.slot(k, h))
 }
 
 // wakeConsumers tells the scoreboard that p's completion time resolved
@@ -320,7 +433,7 @@ func (q *SegmentedIQ) advance(cycle int64) {
 func (q *SegmentedIQ) refresh(e *entry) {
 	q.sb.Untrack(e.id)
 	ready := q.sb.Track(e.id, e.u, q.curCycle)
-	bitvec.Assign(q.readyW[e.seg], int(e.pos), ready)
+	bitvec.Assign(q.readyW[e.seg], q.slot(e.seg, e.id), ready)
 }
 
 // BeginCycle implements iq.Queue: wire propagation, self-timed countdown,
@@ -342,7 +455,9 @@ func (q *SegmentedIQ) BeginCycle(cycle int64) {
 		q.wires.shift()
 		for k := 0; k < q.cfg.Segments; k++ {
 			for _, s := range q.wires.at(k) {
-				q.deliver(s, k, k)
+				if li, ok := q.memberList(s, k); ok {
+					q.deliverList(s, li)
+				}
 			}
 		}
 	}
@@ -366,7 +481,7 @@ func (q *SegmentedIQ) sampleStats(cycle int64) {
 	q.stOccupancy.Observe(float64(q.total))
 	q.stActiveSegs.Observe(float64(q.active))
 	for k := range q.segs {
-		q.stSegOcc[k].Observe(float64(len(q.segs[k])))
+		q.segOccSum[k] += int64(len(q.segs[k]))
 	}
 	// Conventional-wakeup readiness (both operands): popcount of the
 	// ready words, minus ready stores whose data operand is still
@@ -380,7 +495,7 @@ func (q *SegmentedIQ) sampleStats(cycle int64) {
 			for sw != 0 {
 				b := bits.TrailingZeros64(sw)
 				sw &= sw - 1
-				if !q.segs[k][wi<<6+b].u.OperandReady(0, cycle) {
+				if !q.arena[q.segs[k][wi<<6+b]].u.OperandReady(0, cycle) {
 					c--
 				}
 			}
@@ -465,12 +580,12 @@ func (q *SegmentedIQ) moveSelected(k, dest, n int, cycle int64, mode pickMode) i
 				w = ^w & occupied(len(seg), wi)
 			}
 			for w != 0 {
-				e := seg[wi<<6+bits.TrailingZeros64(w)]
+				h := seg[wi<<6+bits.TrailingZeros64(w)]
 				w &= w - 1
-				if mode != pickBelow && e.arrived >= cycle {
+				if mode != pickBelow && q.arena[h].arrived >= cycle {
 					continue
 				}
-				cand = append(cand, e)
+				cand = append(cand, h)
 				if len(cand) == n {
 					break scan
 				}
@@ -483,7 +598,8 @@ func (q *SegmentedIQ) moveSelected(k, dest, n int, cycle int64, mode pickMode) i
 	}
 	pushdown := mode == pickBlocked || mode == pickAny
 	q.removeBatch(k, cand)
-	for idx, e := range cand {
+	for idx, h := range cand {
+		e := &q.arena[h]
 		e.arrived = cycle
 		e.pushedDown = pushdown
 		q.catchUp(e, dest)
@@ -493,8 +609,8 @@ func (q *SegmentedIQ) moveSelected(k, dest, n int, cycle int64, mode pickMode) i
 			// Later candidates were still resident in segment k when this
 			// head's wire fired; the batch removal already took them out
 			// of the segment list, so deliver to them by hand.
-			for _, e2 := range cand[idx+1:] {
-				e2.observe(s, q.ticks)
+			for _, h2 := range cand[idx+1:] {
+				q.arena[h2].observe(s, q.ticks)
 			}
 		}
 		q.moved = true
@@ -505,12 +621,8 @@ func (q *SegmentedIQ) moveSelected(k, dest, n int, cycle int64, mode pickMode) i
 		}
 	}
 	q.insertBatch(dest, cand)
-	moved := len(cand)
-	for i := range cand {
-		cand[i] = nil
-	}
 	q.candScratch = cand[:0]
-	return moved
+	return len(cand)
 }
 
 // occupied returns word wi of the mask of the first n positions.
@@ -528,89 +640,88 @@ func occupied(n, wi int) uint64 {
 // removeBatch takes the candidates — in ascending position order, as
 // collected — out of segment k and its member lists with a single
 // compaction pass over the slice, stashing each candidate's ready/store
-// bits in moveReady/moveStore for insertBatch. The candidates are
+// bits in moveBits for insertBatch. The candidates are
 // off-segment until insertBatch places them.
-func (q *SegmentedIQ) removeBatch(k int, cand []*entry) {
-	q.moveReady = q.moveReady[:0]
-	q.moveStore = q.moveStore[:0]
-	seg := q.segs[k]
+func (q *SegmentedIQ) removeBatch(k int, cand []int32) {
+	q.moveBits = q.moveBits[:0]
+	seg, keys := q.segs[k], q.keys[k]
 	rw, sw, ew := q.readyW[k], q.storeW[k], q.eligW[k]
-	for _, e := range cand {
-		q.moveReady = append(q.moveReady, bitvec.Test(rw, int(e.pos)))
-		q.moveStore = append(q.moveStore, bitvec.Test(sw, int(e.pos)))
+	for _, h := range cand {
+		p := q.slot(k, h)
+		var b uint8
+		if bitvec.Test(rw, p) {
+			b |= moveReady
+		}
+		if bitvec.Test(sw, p) {
+			b |= moveStore
+		}
+		q.moveBits = append(q.moveBits, b)
+		e := &q.arena[h]
 		q.unlink(e)
 		e.seg = -1
 	}
 	n := len(cand)
-	p := int(cand[0].pos)
-	if int(cand[n-1].pos) == p+n-1 {
+	p := q.slot(k, cand[0])
+	if q.slot(k, cand[n-1]) == p+n-1 {
 		// The candidates occupy a contiguous run (the usual promotion
 		// pattern: the n oldest, all eligible): one bulk copy shifts the
 		// tail, one word shift each moves its bits.
 		bitvec.RemoveRun(rw, p, n)
 		bitvec.RemoveRun(sw, p, n)
 		bitvec.RemoveRun(ew, p, n)
-		copy(seg[p:], seg[p+n:])
-	} else {
-		// Drop the bits highest first, so lower positions stay valid.
-		for i := n - 1; i >= 0; i-- {
-			bitvec.Remove(rw, int(cand[i].pos))
-			bitvec.Remove(sw, int(cand[i].pos))
-			bitvec.Remove(ew, int(cand[i].pos))
+		q.removeRun(k, p, n)
+		return
+	}
+	// Drop the bits highest first, so lower positions stay valid.
+	for i := n - 1; i >= 0; i-- {
+		c := q.slot(k, cand[i])
+		bitvec.Remove(rw, c)
+		bitvec.Remove(sw, c)
+		bitvec.Remove(ew, c)
+	}
+	ci, w := 0, p
+	for r := p; r < len(seg); r++ {
+		if ci < n && seg[r] == cand[ci] {
+			ci++
+			continue
 		}
-		ci, w := 0, p
-		for r := p; r < len(seg); r++ {
-			if ci < n && seg[r] == cand[ci] {
-				ci++
-				continue
-			}
-			seg[w] = seg[r]
-			w++
-		}
+		seg[w], keys[w] = seg[r], keys[r]
+		w++
 	}
 	last := len(seg) - n
 	for j := p; j < last; j++ {
-		seg[j].pos = int32(j)
+		q.setSlot(k, seg[j], j)
 	}
-	for j := last; j < len(seg); j++ {
-		seg[j] = nil
-	}
-	q.segs[k] = seg[:last]
+	q.segs[k], q.keys[k] = seg[:last], keys[:last]
 }
 
 // insertBatch merges the candidates (seq-sorted, with their bits in
-// moveReady/moveStore) into segment dest with a single backward merge
-// over the slice and bit words, linking each candidate at its final
-// position. In the common promotion pattern the incoming instructions are
-// all younger than the destination's residents, so the merge degenerates
-// to an append.
-func (q *SegmentedIQ) insertBatch(dest int, cand []*entry) {
-	seg := q.segs[dest]
-	d := len(seg)
-	for range cand {
-		seg = append(seg, nil)
-	}
-	q.segs[dest] = seg
-	rw, sw, ew := q.readyW[dest], q.storeW[dest], q.eligW[dest]
+// moveBits) into segment dest: a single backward merge over the handle
+// and key slices places each candidate and links it at its final
+// position, then the candidates' bits are inserted into the bit words in
+// ascending position order, which shifts the residents' bits with them.
+// In the common promotion pattern the incoming instructions are all
+// younger than the destination's residents, so the merge degenerates to
+// an append.
+func (q *SegmentedIQ) insertBatch(dest int, cand []int32) {
+	q.room(dest, len(cand))
+	d := len(q.segs[dest])
+	// Grow both windows by len(cand); the merge fills every new slot.
+	seg, keys := q.segs[dest][:d+len(cand)], q.keys[dest][:d+len(cand)]
+	q.segs[dest], q.keys[dest] = seg, keys
 	thr := threshold(dest - 1)
 	i, w := d-1, len(seg)-1
-	for j := len(cand) - 1; j >= 0; w-- {
-		if i >= 0 && seg[i].seq > cand[j].seq {
-			e := seg[i]
-			seg[w] = e
-			e.pos = int32(w)
-			bitvec.Assign(rw, w, bitvec.Test(rw, i))
-			bitvec.Assign(sw, w, bitvec.Test(sw, i))
-			bitvec.Assign(ew, w, bitvec.Test(ew, i))
-			i--
-			continue
+	for j := len(cand) - 1; j >= 0; j-- {
+		h := cand[j]
+		e := &q.arena[h]
+		for ; i >= 0 && keys[i] > e.seq; i, w = i-1, w-1 {
+			r := seg[i]
+			seg[w], keys[w] = r, keys[i]
+			q.setSlot(dest, r, w)
 		}
-		e := cand[j]
-		seg[w] = e
+		seg[w], keys[w] = h, e.seq
+		q.setSlot(dest, h, w)
 		e.seg = dest
-		e.pos = int32(w)
-		bitvec.Assign(rw, w, q.moveReady[j])
-		bitvec.Assign(sw, w, q.moveStore[j])
 		// link without re-summarizing, and updateElig inline: a call per
 		// moved entry is a measurable share of promotion's cost. unlink
 		// cleared cross.
@@ -619,14 +730,38 @@ func (q *SegmentedIQ) insertBatch(dest int, cand []*entry) {
 		}
 		if dest > 0 {
 			below, at := e.crossing(thr, q.ticks)
-			bitvec.Assign(ew, w, below)
+			if below {
+				q.moveBits[j] |= moveElig
+			}
 			if at != 0 {
 				q.setCrossing(e, at)
 			}
 		}
-		j--
+		w--
+	}
+	rw, sw, ew := q.readyW[dest], q.storeW[dest], q.eligW[dest]
+	for j, h := range cand {
+		p, b := q.slot(dest, h), q.moveBits[j]
+		if p == d+j {
+			// Past every resident placed so far, where the bits are
+			// clear: nothing to shift.
+			bitvec.Assign(rw, p, b&moveReady != 0)
+			bitvec.Assign(sw, p, b&moveStore != 0)
+			bitvec.Assign(ew, p, b&moveElig != 0)
+			continue
+		}
+		bitvec.Insert(rw, p, b&moveReady != 0)
+		bitvec.Insert(sw, p, b&moveStore != 0)
+		bitvec.Insert(ew, p, b&moveElig != 0)
 	}
 }
+
+// moveBits flags.
+const (
+	moveReady uint8 = 1 << iota
+	moveStore
+	moveElig
+)
 
 // removeFromSegment takes e out of segment k and out of readiness
 // tracking: the entry is leaving the queue segments for good.
@@ -651,17 +786,18 @@ func (q *SegmentedIQ) Issue(cycle int64, max int, tryIssue func(*uop.UOp) bool) 
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &= w - 1
-			e := q.segs[0][wi<<6+b]
-			if e.arrived < cycle {
-				cand = append(cand, e)
+			h := q.segs[0][wi<<6+b]
+			if q.arena[h].arrived < cycle {
+				cand = append(cand, h)
 			}
 		}
 	}
 	out := q.outScratch[:0]
-	for _, e := range cand {
+	for _, h := range cand {
 		if len(out) >= max {
 			break
 		}
+		e := &q.arena[h]
 		if !tryIssue(e.u) {
 			continue
 		}
@@ -679,9 +815,6 @@ func (q *SegmentedIQ) Issue(cycle int64, max int, tryIssue func(*uop.UOp) bool) 
 			q.assertAt(0, signal{ch: e.head, typ: sigAdvance})
 		}
 		q.trainLRP(e)
-	}
-	for i := range cand {
-		cand[i] = nil
 	}
 	q.candScratch = cand[:0]
 	q.outScratch = out
@@ -835,7 +968,8 @@ func (q *SegmentedIQ) Dispatch(cycle int64, u *uop.UOp) bool {
 	}
 
 	// Commit point: no stalls past here.
-	e := q.newEntry(u, target, cycle)
+	h := q.newEntry(u, target, cycle)
+	e := &q.arena[h]
 	e.isHead = needHead
 	e.head = hd
 	if len(outs) == 2 {
@@ -911,9 +1045,9 @@ func (q *SegmentedIQ) Dispatch(cycle int64, u *uop.UOp) bool {
 	}
 
 	u.DispatchCycle = cycle
-	u.IQ = e
+	u.IQ = q.boxed[h]
 	q.catchUp(e, target)
-	q.segInsert(target, e, q.sb.Track(e.id, u, cycle), u.IsStore())
+	q.segInsert(target, e, q.sb.Track(h, u, cycle), u.IsStore())
 	q.total++
 	q.moved = true
 	q.stDispatched.Inc()
@@ -934,8 +1068,8 @@ func (q *SegmentedIQ) Dispatch(cycle int64, u *uop.UOp) bool {
 // (§3.4). The signal originates at the bottom of the queue and propagates
 // up the chain wire.
 func (q *SegmentedIQ) NotifyLoadMiss(cycle int64, u *uop.UOp) {
-	e, ok := u.IQ.(*entry)
-	if !ok || e == nil || !e.isHead {
+	e, ok := q.entryOf(u)
+	if !ok || !e.isHead {
 		return
 	}
 	q.assertAt(0, signal{ch: e.head, typ: sigSuspend})
@@ -948,8 +1082,8 @@ func (q *SegmentedIQ) NotifyLoadComplete(cycle int64, u *uop.UOp) {
 	if q.hmp != nil && u.IsLoad() {
 		q.hmp.Update(u.Inst.PC, u.MemKind == uop.MemHit)
 	}
-	e, ok := u.IQ.(*entry)
-	if !ok || e == nil || !e.isHead {
+	e, ok := q.entryOf(u)
+	if !ok || !e.isHead {
 		return
 	}
 	q.assertAt(0, signal{ch: e.head, typ: sigResume})
@@ -961,19 +1095,19 @@ func (q *SegmentedIQ) NotifyLoadComplete(cycle int64, u *uop.UOp) {
 func (q *SegmentedIQ) Writeback(cycle int64, u *uop.UOp) {
 	q.wakeConsumers(u)
 	q.clearProducer(u)
-	e, ok := u.IQ.(*entry)
-	if !ok || e == nil {
+	e, ok := q.entryOf(u)
+	if !ok {
 		return
 	}
 	if e.isHead {
 		q.chains.release(e.head)
-		e.isHead = false
 	}
 	u.IQ = nil
 	// The entry left the queue segments at issue and its last external
-	// reference (u.IQ) is gone: recycle it.
-	e.u = nil
-	q.entryPool = append(q.entryPool, e)
+	// reference (u.IQ) is gone: recycle its slot.
+	h := e.id
+	q.arena[h] = entry{id: h, seg: -1}
+	q.free = append(q.free, h)
 }
 
 // EndCycle implements iq.Queue: deadlock detection (§4.5). A deadlock is
@@ -1000,9 +1134,8 @@ func (q *SegmentedIQ) recover(cycle int64) {
 	var recycled *entry
 	var recycledReady, recycledStore bool
 	if len(q.segs[0]) >= q.cfg.SegSize && !q.anyReady(0) {
-		oldest := q.segs[0][0] // seq-sorted: slot 0 is the oldest
-		recycledReady, recycledStore = q.segRemove(0, oldest)
-		recycled = oldest
+		recycled = &q.arena[q.segs[0][0]] // seq-sorted: slot 0 is the oldest
+		recycledReady, recycledStore = q.segRemove(0, recycled)
 	}
 
 	// Force one promotion across every segment boundary with room below.
@@ -1052,7 +1185,7 @@ func (q *SegmentedIQ) SegmentLen(k int) int { return len(q.segs[k]) }
 // instruction, or -1 if it is not (or no longer) queued here. Diagnostic
 // and walkthrough use.
 func (q *SegmentedIQ) DelayOf(u *uop.UOp) int {
-	if e, ok := u.IQ.(*entry); ok && e != nil {
+	if e, ok := q.entryOf(u); ok {
 		return e.effDelay(q.ticks)
 	}
 	return -1
@@ -1061,8 +1194,8 @@ func (q *SegmentedIQ) DelayOf(u *uop.UOp) int {
 // SegmentOf returns the segment index holding a dispatched instruction,
 // or -1 if it is not queued here.
 func (q *SegmentedIQ) SegmentOf(u *uop.UOp) int {
-	e, ok := u.IQ.(*entry)
-	if !ok || e == nil || e.seg < 0 || q.segs[e.seg][e.pos] != e {
+	e, ok := q.entryOf(u)
+	if !ok {
 		return -1
 	}
 	return e.seg
@@ -1111,8 +1244,12 @@ func (q *SegmentedIQ) CollectStats(s *stats.Set) {
 	s.Put("iq_pushdowns", float64(q.stPushdowns.Value()))
 	s.Put("iq_occupancy_avg", q.stOccupancy.Value())
 	s.Put("segments_active_avg", q.stActiveSegs.Value())
-	for k := range q.stSegOcc {
-		s.Put(fmt.Sprintf("seg%d_occupancy_avg", k), q.stSegOcc[k].Value())
+	for k, sum := range q.segOccSum {
+		avg := 0.0
+		if n := q.stOccupancy.Count(); n > 0 {
+			avg = float64(sum) / float64(n)
+		}
+		s.Put(fmt.Sprintf("seg%d_occupancy_avg", k), avg)
 	}
 	s.Put("iq_ready_seg0_avg", q.stReadySeg0.Value())
 	s.Put("iq_ready_total_avg", q.stReadyTotal.Value())

@@ -18,7 +18,7 @@ func TestChainGenerationIgnoresStaleSignals(t *testing.T) {
 
 	ld1 := r.rename(loadInst(isa.RegNone, 1))
 	q.Dispatch(0, ld1)
-	oldChain := ld1.IQ.(*entry).head
+	oldChain := q.ent(ld1).head
 
 	// Issue the head and assert a suspend that will still be in flight
 	// when the wire is reused.
@@ -39,7 +39,7 @@ func TestChainGenerationIgnoresStaleSignals(t *testing.T) {
 	if !q.Dispatch(2, ld2) {
 		t.Fatal("wire not reusable")
 	}
-	newChain := ld2.IQ.(*entry).head
+	newChain := q.ent(ld2).head
 	if newChain.id != oldChain.id || newChain.gen == oldChain.gen {
 		t.Fatalf("expected same wire, new generation: old %+v new %+v", oldChain, newChain)
 	}
@@ -97,7 +97,7 @@ func TestHMPMispredictedHitFloodsSegmentZero(t *testing.T) {
 		ld := r.rename(loadInst(isa.RegNone, 1))
 		ld.Inst.PC = pc
 		q.Dispatch(int64(i), ld)
-		e := ld.IQ.(*entry)
+		e := q.ent(ld)
 		ld.Complete = int64(i)
 		ld.MemKind = uop.MemHit
 		q.NotifyLoadComplete(int64(i), ld)
@@ -109,7 +109,7 @@ func TestHMPMispredictedHitFloodsSegmentZero(t *testing.T) {
 	ld := r.rename(loadInst(isa.RegNone, 1))
 	ld.Inst.PC = pc
 	q.Dispatch(100, ld)
-	if ld.IQ.(*entry).isHead {
+	if q.ent(ld).isHead {
 		t.Fatal("setup: load should be chainless")
 	}
 	var consumers []*uop.UOp
@@ -152,7 +152,7 @@ func TestSuspendedStateInheritedAtDispatch(t *testing.T) {
 
 	con := r.rename(aluInst(1, isa.RegNone, 2))
 	q.Dispatch(5, con)
-	ce := con.IQ.(*entry)
+	ce := q.ent(con)
 	if !ce.refs[0].selfTimed || !ce.refs[0].suspended {
 		t.Fatalf("consumer should inherit self-timed+suspended: %+v", ce.refs[0])
 	}
@@ -182,7 +182,7 @@ func TestIssueAssertionReachesTableImmediately(t *testing.T) {
 	}
 	con := r.rename(aluInst(1, isa.RegNone, 2))
 	q.Dispatch(1, con)
-	ce := con.IQ.(*entry)
+	ce := q.ent(con)
 	if !ce.refs[0].selfTimed {
 		t.Fatal("table lagged the issue assertion")
 	}
@@ -257,7 +257,7 @@ func TestTwoChainMemberControlledByLaterOperand(t *testing.T) {
 	q.Dispatch(0, ldB)
 	join := r.rename(aluInst(1, 2, 3))
 	q.Dispatch(0, join)
-	je := join.IQ.(*entry)
+	je := q.ent(join)
 	if je.nrefs != 2 {
 		t.Fatal("setup: expected two memberships")
 	}
@@ -305,16 +305,16 @@ func TestPerThreadRegisterTables(t *testing.T) {
 	con1 := uop.New(2, aluInst(1, isa.RegNone, 2))
 	con1.Thread = 1
 	q.Dispatch(0, con1)
-	e1 := con1.IQ.(*entry)
-	if e1.nrefs == 1 && e1.refs[0].ch == ld0.IQ.(*entry).head {
+	e1 := q.ent(con1)
+	if e1.nrefs == 1 && e1.refs[0].ch == q.ent(ld0).head {
 		t.Fatal("thread 1 consumer joined thread 0's chain")
 	}
 	// Thread 0's consumer of r1 joins the load chain.
 	con0 := uop.New(3, aluInst(1, isa.RegNone, 2))
 	con0.Thread = 0
 	q.Dispatch(0, con0)
-	e0 := con0.IQ.(*entry)
-	if e0.nrefs != 1 || e0.refs[0].ch != ld0.IQ.(*entry).head {
+	e0 := q.ent(con0)
+	if e0.nrefs != 1 || e0.refs[0].ch != q.ent(ld0).head {
 		t.Fatal("thread 0 consumer did not join its own chain")
 	}
 }

@@ -48,16 +48,19 @@ func always(*uop.UOp) bool { return true }
 // segment — white-box scaffolding for promotion-machinery tests. The
 // chainless, non-self-timed reference neither decays nor hears signals.
 // A test that gives the entry chain memberships afterwards registers them
-// with q.link, as Dispatch does.
+// with q.link, as Dispatch does. The returned pointer stays valid while
+// the queue holds no more entries than its capacity, for which New
+// reserves the arena.
 func addRaw(q *SegmentedIQ, seg int, seq int64, delay int, arrived int64) *entry {
 	u := uop.New(seq, aluInst(isa.RegNone, isa.RegNone, 1))
-	e := q.newEntry(u, seg, arrived)
+	h := q.newEntry(u, seg, arrived)
+	e := &q.arena[h]
 	if delay > 0 {
 		e.refs[0] = chainRef{ch: chainNone, delay: delay}
 		e.nrefs = 1
 	}
-	u.IQ = e
-	q.segInsert(seg, e, q.sb.Track(e.id, u, q.curCycle), u.IsStore())
+	u.IQ = q.boxed[h]
+	q.segInsert(seg, e, q.sb.Track(h, u, q.curCycle), u.IsStore())
 	q.total++
 	return e
 }
@@ -95,19 +98,19 @@ func TestDispatchBypassPlacement(t *testing.T) {
 	if !q.Dispatch(0, u0) {
 		t.Fatal("dispatch failed")
 	}
-	if e := u0.IQ.(*entry); e.seg != 0 {
+	if e := q.ent(u0); e.seg != 0 {
 		t.Fatalf("first instruction in segment %d, want 0 (full bypass)", e.seg)
 	}
 	// Highest non-empty segment has room: join it.
 	u1 := r.rename(aluInst(isa.RegNone, isa.RegNone, 2))
 	q.Dispatch(0, u1)
-	if e := u1.IQ.(*entry); e.seg != 0 {
+	if e := q.ent(u1); e.seg != 0 {
 		t.Fatalf("second instruction in segment %d, want 0", e.seg)
 	}
 	// Segment 0 now full: overflow into the empty segment above.
 	u2 := r.rename(aluInst(isa.RegNone, isa.RegNone, 3))
 	q.Dispatch(0, u2)
-	if e := u2.IQ.(*entry); e.seg != 1 {
+	if e := q.ent(u2); e.seg != 1 {
 		t.Fatalf("third instruction in segment %d, want 1", e.seg)
 	}
 	if q.Len() != 3 {
@@ -121,7 +124,7 @@ func TestDispatchNoBypass(t *testing.T) {
 	q := MustNew(cfg)
 	u := uop.New(0, aluInst(isa.RegNone, isa.RegNone, 1))
 	q.Dispatch(0, u)
-	if e := u.IQ.(*entry); e.seg != 3 {
+	if e := q.ent(u); e.seg != 3 {
 		t.Fatalf("without bypass instruction must enter the top segment, got %d", e.seg)
 	}
 }
@@ -153,12 +156,12 @@ func TestDelayValueInitFormula(t *testing.T) {
 
 	ld := r.rename(loadInst(isa.RegNone, 5))
 	q.Dispatch(0, ld)
-	if e := ld.IQ.(*entry); !e.isHead {
+	if e := q.ent(ld); !e.isHead {
 		t.Fatal("load must head a chain in the base design")
 	}
 	con := r.rename(aluInst(5, isa.RegNone, 6))
 	q.Dispatch(0, con)
-	e := con.IQ.(*entry)
+	e := q.ent(con)
 	if e.nrefs != 1 {
 		t.Fatalf("consumer memberships = %d", e.nrefs)
 	}
@@ -172,7 +175,7 @@ func TestDelayValueInitFormula(t *testing.T) {
 	// A second-level consumer adds the producer's own latency.
 	con2 := r.rename(aluInst(6, isa.RegNone, 7))
 	q.Dispatch(0, con2)
-	if got := con2.IQ.(*entry).effDelay(q.ticks); got != 2*3+4+1 {
+	if got := q.ent(con2).effDelay(q.ticks); got != 2*3+4+1 {
 		t.Fatalf("transitive delay = %d, want 11", got)
 	}
 }
@@ -208,7 +211,8 @@ func TestPromotionBandwidthAndPrevFree(t *testing.T) {
 		t.Fatalf("promoted %d, want bandwidth limit 3", got)
 	}
 	// Oldest first.
-	for _, e := range q.segs[0] {
+	for _, h := range q.segs[0] {
+		e := &q.arena[h]
 		if e.u.Seq >= 3 {
 			t.Fatalf("younger instruction %d promoted before older", e.u.Seq)
 		}
@@ -260,7 +264,8 @@ func TestIssueOldestReadyFirstAndWidth(t *testing.T) {
 		_ = e
 	}
 	// Make seq 2 unready.
-	for _, e := range q.segs[0] {
+	for _, h := range q.segs[0] {
+		e := &q.arena[h]
 		if e.u.Seq == 2 {
 			e.u.Prod[0] = blocked
 			q.refresh(e)
@@ -334,7 +339,7 @@ func TestTwoOutstandingOperandsHeadCreation(t *testing.T) {
 	q.Dispatch(0, ldB)
 	join := r.rename(aluInst(1, 2, 3))
 	q.Dispatch(0, join)
-	e := join.IQ.(*entry)
+	e := q.ent(join)
 	if e.nrefs != 2 {
 		t.Fatalf("two-chain instruction memberships = %d, want 2", e.nrefs)
 	}
@@ -355,7 +360,7 @@ func TestTwoOutstandingOperandsHeadCreation(t *testing.T) {
 	// A consumer of the join follows only the join's new chain.
 	con := r.rename(aluInst(3, isa.RegNone, 4))
 	q.Dispatch(0, con)
-	ce := con.IQ.(*entry)
+	ce := q.ent(con)
 	if ce.nrefs != 1 || ce.refs[0].ch != e.head {
 		t.Fatal("consumer should follow the join's chain")
 	}
@@ -372,7 +377,7 @@ func TestSameChainTwoOperandsMergesMembership(t *testing.T) {
 	q.Dispatch(0, b)
 	join := r.rename(aluInst(2, 3, 4))
 	q.Dispatch(0, join)
-	e := join.IQ.(*entry)
+	e := q.ent(join)
 	if e.nrefs != 1 {
 		t.Fatalf("same-chain operands should merge to one membership, got %d", e.nrefs)
 	}
@@ -395,7 +400,7 @@ func TestLRPLimitsToOneChain(t *testing.T) {
 	q.Dispatch(0, ldB)
 	join := r.rename(aluInst(1, 2, 3))
 	q.Dispatch(0, join)
-	e := join.IQ.(*entry)
+	e := q.ent(join)
 	if e.nrefs != 1 {
 		t.Fatalf("LRP instruction memberships = %d, want 1", e.nrefs)
 	}
@@ -424,7 +429,7 @@ func TestHMPSuppressesChainsForPredictedHits(t *testing.T) {
 		if !q.Dispatch(int64(i), ld) {
 			t.Fatal("dispatch failed")
 		}
-		e := ld.IQ.(*entry)
+		e := q.ent(ld)
 		if !e.isHead {
 			t.Fatal("unconfident load should still head a chain")
 		}
@@ -440,7 +445,7 @@ func TestHMPSuppressesChainsForPredictedHits(t *testing.T) {
 	ld := r.rename(loadInst(isa.RegNone, 1))
 	ld.Inst.PC = pc
 	q.Dispatch(100, ld)
-	if ld.IQ.(*entry).isHead {
+	if q.ent(ld).isHead {
 		t.Fatal("confidently hit-predicted load must not head a chain (§4.4)")
 	}
 	if q.ChainsInUse() != 0 {
@@ -449,7 +454,7 @@ func TestHMPSuppressesChainsForPredictedHits(t *testing.T) {
 	// Its consumer self-times from dispatch with the hit latency baked in.
 	con := r.rename(aluInst(1, isa.RegNone, 2))
 	q.Dispatch(100, con)
-	ce := con.IQ.(*entry)
+	ce := q.ent(con)
 	if ce.nrefs != 1 || !ce.refs[0].selfTimed {
 		t.Fatalf("consumer of chainless load should be self-timed: %+v", ce.refs[0])
 	}
@@ -459,8 +464,8 @@ func TestHMPSuppressesChainsForPredictedHits(t *testing.T) {
 // segment holds it (simulating issue without the full protocol).
 func (q *SegmentedIQ) removeEverywhere(e *entry) {
 	for k := range q.segs {
-		for _, x := range q.segs[k] {
-			if x == e {
+		for _, h := range q.segs[k] {
+			if h == e.id {
 				q.removeFromSegment(k, e)
 				q.total--
 				return
@@ -546,7 +551,7 @@ func TestSuspendResumeOnLoadMiss(t *testing.T) {
 	q.Dispatch(0, ld)
 	con := r.rename(aluInst(1, isa.RegNone, 2))
 	q.Dispatch(0, con)
-	ce := con.IQ.(*entry)
+	ce := q.ent(con)
 
 	q.BeginCycle(1)
 	issued := q.Issue(1, 8, always)
@@ -594,7 +599,8 @@ func TestPushdown(t *testing.T) {
 	if q.SegmentLen(0) != 2 {
 		t.Fatalf("pushdown moved %d, want IW=2", q.SegmentLen(0))
 	}
-	for _, e := range q.segs[0] {
+	for _, h := range q.segs[0] {
+		e := &q.arena[h]
 		if !e.pushedDown {
 			t.Fatal("entries should be marked as pushed down")
 		}
@@ -629,8 +635,8 @@ func TestPushdownRequiresEmptyDestination(t *testing.T) {
 	// Destination has only 3 free (need > 3): block pushdown.
 	blocker := uop.New(50, aluInst(isa.RegNone, isa.RegNone, 1))
 	blocker.Prod[0] = uop.New(99, aluInst(isa.RegNone, isa.RegNone, 2))
-	e := &entry{u: blocker, seg: 0, arrived: -1}
-	q.segs[0] = append(q.segs[0], e)
+	e := &q.arena[q.newEntry(blocker, 0, -1)]
+	q.segInsert(0, e, false, false)
 	q.total++
 	q.BeginCycle(1)
 	if q.SegmentLen(0) != 1 {
@@ -653,7 +659,7 @@ func TestDeadlockDetectionAndRecovery(t *testing.T) {
 
 	q.Dispatch(0, p) // top segment
 	q.BeginCycle(1)  // p (delay 0) promotes to segment 0
-	if p.IQ.(*entry).seg != 0 {
+	if q.ent(p).seg != 0 {
 		t.Fatal("setup: producer should sink to segment 0")
 	}
 	q.Dispatch(1, c) // fills the top segment
@@ -677,8 +683,8 @@ func TestDeadlockDetectionAndRecovery(t *testing.T) {
 	if s2 := collect(q); s2.MustGet("deadlock_recoveries") != 1 {
 		t.Fatal("recovery did not run")
 	}
-	if p.IQ.(*entry).seg != 1 || c.IQ.(*entry).seg != 0 {
-		t.Fatalf("rotation failed: p in %d, c in %d", p.IQ.(*entry).seg, c.IQ.(*entry).seg)
+	if q.ent(p).seg != 1 || q.ent(c).seg != 0 {
+		t.Fatalf("rotation failed: p in %d, c in %d", q.ent(p).seg, q.ent(c).seg)
 	}
 
 	// Once the ghost completes, both instructions drain. The writeback
@@ -841,7 +847,7 @@ func TestSegmentGating(t *testing.T) {
 	if !q.Dispatch(1, u) {
 		t.Fatal("dispatch failed")
 	}
-	if got := u.IQ.(*entry).seg; got != 1 {
+	if got := q.ent(u).seg; got != 1 {
 		t.Fatalf("dispatched into segment %d, want active top 1", got)
 	}
 	// The parked instruction still drains through the gated segments.
@@ -873,8 +879,8 @@ func TestSegmentGatingWithBypass(t *testing.T) {
 		if !q.Dispatch(0, u) {
 			t.Fatalf("dispatch %d failed", i)
 		}
-		if u.IQ.(*entry).seg > 2 {
-			t.Fatalf("instruction placed in gated segment %d", u.IQ.(*entry).seg)
+		if q.ent(u).seg > 2 {
+			t.Fatalf("instruction placed in gated segment %d", q.ent(u).seg)
 		}
 	}
 	if q.Dispatch(0, uop.New(9, aluInst(isa.RegNone, isa.RegNone, 1))) {

@@ -59,23 +59,43 @@ func (l *LSQ) Clone(l1d *mem.Cache, eq *mem.EventQueue, q iq.Queue, m *uop.Clone
 // prefix under a tighter bound. The occupancy must fit; ok is false
 // otherwise and the caller falls back to a cold fork.
 func (l *LSQ) CloneCap(l1d *mem.Cache, eq *mem.EventQueue, q iq.Queue, m *uop.CloneMap, capacity int) (*LSQ, bool) {
-	if len(l.entries) > capacity {
+	if l.entries.len() > capacity {
 		return nil, false
 	}
 	n := NewLSQ(capacity, l1d, eq, q, l.rdPorts, l.wrPorts)
-	if len(l.entries) > 0 {
-		n.entries = make([]*uop.UOp, len(l.entries))
-		for i, u := range l.entries {
-			n.entries[i] = m.Get(u)
-		}
+	for i := 0; i < l.entries.len(); i++ {
+		n.entries.push(m.Get(l.entries.at(i)))
 	}
-	n.writeQ = append([]memWrite(nil), l.writeQ...)
+	for i := 0; i < l.stores.len(); i++ {
+		n.stores.push(m.Get(l.stores.at(i)))
+	}
+	for i := 0; i < l.writeQ.len(); i++ {
+		n.writeQ.push(l.writeQ.at(i))
+	}
+	n.known = l.known
+	n.addrWait = cloneUOps(l.addrWait, m)
+	n.ready = cloneUOps(l.ready, m)
+	for _, d := range l.dataWait {
+		n.dataWait = append(n.dataWait, storeData{st: m.Get(d.st), prod: m.Get(d.prod), at: d.at})
+	}
 	n.forwards = l.forwards
 	n.mshrRejects = l.mshrRejects
 	n.loadsIssued = l.loadsIssued
 	n.storeWrites = l.storeWrites
 	n.blockedByStore = l.blockedByStore
 	return n, true
+}
+
+// cloneUOps remaps a list of instructions through m.
+func cloneUOps(us []*uop.UOp, m *uop.CloneMap) []*uop.UOp {
+	if len(us) == 0 {
+		return nil
+	}
+	n := make([]*uop.UOp, len(us))
+	for i, u := range us {
+		n[i] = m.Get(u)
+	}
+	return n
 }
 
 // Clone returns a copy of the reorder buffer with its contents remapped

@@ -41,7 +41,7 @@ func TestLSQLoadAccess(t *testing.T) {
 	if l.LoadsIssued() != 0 {
 		t.Fatal("load accessed before its EA was ready")
 	}
-	ld.EADone = 1
+	l.IssueAddress(ld, 1)
 	l.Tick(1)
 	if l.LoadsIssued() != 1 {
 		t.Fatal("load did not access")
@@ -72,7 +72,7 @@ func TestLSQConservativeStoreBlocking(t *testing.T) {
 	ld := loadAt(1, 0x3000) // disjoint address
 	l.Add(st)
 	l.Add(ld)
-	ld.EADone = 1
+	l.IssueAddress(ld, 1)
 	// The store's address is unknown: the younger load must wait.
 	l.Tick(1)
 	if l.LoadsIssued() != 0 {
@@ -81,7 +81,7 @@ func TestLSQConservativeStoreBlocking(t *testing.T) {
 	if l.BlockedByStore() == 0 {
 		t.Fatal("blocking not counted")
 	}
-	st.EADone = 2
+	l.IssueAddress(st, 2)
 	st.Complete = 2
 	l.Tick(2)
 	if l.LoadsIssued() != 1 {
@@ -95,8 +95,9 @@ func TestLSQStoreToLoadForwarding(t *testing.T) {
 	ld := loadAt(1, 0x4004) // overlaps the 8-byte store
 	l.Add(st)
 	l.Add(ld)
-	st.EADone, st.Complete = 1, 1
-	ld.EADone = 1
+	l.IssueAddress(st, 1)
+	st.Complete = 1
+	l.IssueAddress(ld, 1)
 	var doneAt int64 = -1
 	l.OnLoadDone = func(cycle int64, u *uop.UOp) { doneAt = cycle }
 	l.Tick(2)
@@ -115,15 +116,16 @@ func TestLSQStoreToLoadForwarding(t *testing.T) {
 func TestLSQForwardFromRetiredStore(t *testing.T) {
 	l, h, _ := newTestLSQ(t, 8)
 	st := storeAt(0, 0x5000)
-	st.EADone, st.Complete = 1, 1
 	l.Add(st)
+	l.IssueAddress(st, 1)
+	st.Complete = 1
 	l.CommitStore(st) // retired: moves to the write queue
 	if !l.Busy() {
 		t.Fatal("write queue should be busy")
 	}
 	ld := loadAt(1, 0x5000)
-	ld.EADone = 2
 	l.Add(ld)
+	l.IssueAddress(ld, 2)
 	// Tick drains the write first and may forward in the same cycle...
 	// the queue is drained at the top of Tick, so forward only works
 	// while the write is still pending. Check either forwarding or a
@@ -144,8 +146,8 @@ func TestLSQPortLimit(t *testing.T) {
 	l := NewLSQ(32, h.L1D, h.EQ, q, 2, 8) // two read ports
 	for i := int64(0); i < 5; i++ {
 		ld := loadAt(i, uint64(0x6000+i*64))
-		ld.EADone = 0
 		l.Add(ld)
+		l.IssueAddress(ld, 0)
 	}
 	l.Tick(1)
 	if l.LoadsIssued() != 2 {
@@ -165,9 +167,10 @@ func TestLSQMSHRRejectionRetries(t *testing.T) {
 	l := NewLSQ(32, h.L1D, h.EQ, q, 8, 8)
 	a := loadAt(0, 0x7000)
 	b := loadAt(1, 0x8000) // different line: needs its own MSHR
-	a.EADone, b.EADone = 0, 0
 	l.Add(a)
 	l.Add(b)
+	l.IssueAddress(a, 0)
+	l.IssueAddress(b, 0)
 	l.Tick(1)
 	if l.LoadsIssued() != 1 || l.MSHRRejects() != 1 {
 		t.Fatalf("issued %d rejects %d, want 1/1", l.LoadsIssued(), l.MSHRRejects())

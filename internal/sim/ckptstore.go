@@ -245,7 +245,7 @@ func (st *DirStore) LoadOrNew(cfg Config, specs ...ContextSpec) (ck *Checkpoint,
 	data, found, gerr := st.get(key)
 	switch {
 	case found:
-		if ck := st.decode(key, data, specs); ck != nil {
+		if ck := st.decode(key, data, cfg, specs); ck != nil {
 			st.stats().Hits.Add(1)
 			st.stats().BytesRead.Add(int64(len(data)))
 			return ck, true, nil
@@ -292,8 +292,8 @@ func (st *DirStore) LoadOrNew(cfg Config, specs ...ContextSpec) (ck *Checkpoint,
 // checkpoint; contents win over the key, so a file copied or renamed
 // across keys must not impersonate another warmup. Returns nil (after
 // a stderr note) for anything unusable.
-func (st *DirStore) decode(key string, data []byte, specs []ContextSpec) *Checkpoint {
-	ck, err := LoadCheckpoint(bytes.NewReader(data), specs)
+func (st *DirStore) decode(key string, data []byte, cfg Config, specs []ContextSpec) *Checkpoint {
+	ck, err := LoadCheckpoint(bytes.NewReader(data), cfg, specs)
 	if err != nil {
 		// A present-but-unloadable file is worth mentioning: it means the
 		// store was written by an incompatible build or got corrupted, and

@@ -320,13 +320,13 @@ func (e *Engine) issue(c int64) {
 			// it may be blocked on the IQ's own progress, and counting it
 			// would mask the deadlocks §4.5 recovers from. Its memory
 			// traffic keeps the machine active through the event queue.
-			u.EADone = c + lat
+			e.ctxs[u.Thread].lsq.IssueAddress(u, c+lat)
 			e.hier.EQ.ScheduleRef(u.EADone, mem.Ref{H: e, Op: engOpExecDone})
 		case u.IsStore():
 			// Retirement (Complete) is set by the LSQ once the data is
 			// also ready; the chain writeback happens at EA completion
 			// (stores produce no register value).
-			u.EADone = c + lat
+			e.ctxs[u.Thread].lsq.IssueAddress(u, c+lat)
 			e.hier.EQ.ScheduleRef(u.EADone, mem.Ref{H: e, Op: engOpWbDone, Arg: u})
 		default:
 			u.Complete = c + lat

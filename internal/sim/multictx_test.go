@@ -59,7 +59,7 @@ func TestMultiContextCheckpointConformance(t *testing.T) {
 				if err := ck.Save(&buf); err != nil {
 					t.Fatal(err)
 				}
-				loaded, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), specs)
+				loaded, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), cfg, specs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +118,7 @@ func TestCheckpointV1GoldenRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	_, err = LoadCheckpoint(f, nil)
+	_, err = LoadCheckpoint(f, DefaultConfig(QueueIdeal, 128), nil)
 	if err == nil {
 		t.Fatal("v1 checkpoint loaded without error")
 	}
@@ -127,7 +127,8 @@ func TestCheckpointV1GoldenRejected(t *testing.T) {
 	}
 }
 
-// TestCheckpointV2RoundTripBytes: saving a loaded checkpoint must
+// TestCheckpointV2RoundTripBytes: saving a loaded checkpoint (of the
+// current format, version 3 since it stopped embedding the config) must
 // reproduce the original file byte for byte, for both a single-context
 // (PR-4-style) set and a multi-context one. This pins that Save is
 // construction-path independent: frontiers and memo suffixes serialize
@@ -142,7 +143,8 @@ func TestCheckpointV2RoundTripBytes(t *testing.T) {
 		specs := specs
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			ck, err := NewCheckpoint(DefaultConfig(QueueIdeal, 128), specs...)
+			cfg := DefaultConfig(QueueIdeal, 128)
+			ck, err := NewCheckpoint(cfg, specs...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +152,7 @@ func TestCheckpointV2RoundTripBytes(t *testing.T) {
 			if err := ck.Save(&first); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := LoadCheckpoint(bytes.NewReader(first.Bytes()), specs)
+			loaded, err := LoadCheckpoint(bytes.NewReader(first.Bytes()), cfg, specs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -23,7 +22,6 @@ import (
 //	version   u32      CheckpointVersion
 //	geometry  u64      GeometryFingerprint of the template configuration
 //	ctxset    u64      ContextSetFingerprint of the ordered context set
-//	config    bytes    length-prefixed JSON of the full sim.Config
 //	nctx      u32      context count
 //	per context, in order:
 //	  workload  string
@@ -40,18 +38,22 @@ import (
 // branch structures, every context's stream at its frontier, simulated
 // time still zero. Save enforces that shape, so the file never carries
 // in-flight pipeline state and Load rebuilds the pipeline empty, exactly
-// as NewCheckpoint leaves it. The geometry fingerprint is duplicated from
-// the config so a store can match files without parsing JSON, and Load
-// cross-checks the two against each other; the context-set fingerprint
-// likewise pins the ordered (workload, seed, warm) set against the
-// per-context sections that follow.
+// as NewCheckpoint leaves it.
+//
+// The file holds only what warmup depends on. The configuration is the
+// loader's: LoadCheckpoint checks the caller's against the geometry
+// fingerprint and decodes the branch structures and caches with its
+// geometry, so an edit to any other Config field leaves stored files
+// loadable. The context-set fingerprint pins the ordered (workload, seed,
+// warm) set against the per-context sections that follow.
 //
 // Version 1 of the format carried exactly one context (workload/seed/warm
-// directly in the header, no context-set fingerprint); this build rejects
-// v1 files with a version error rather than guessing at their layout.
+// directly in the header, no context-set fingerprint); version 2 embedded
+// the full sim.Config as JSON after the fingerprints. This build rejects
+// both with a version error rather than guessing at their layout.
 
 // CheckpointVersion is the current checkpoint file format version.
-const CheckpointVersion = 2
+const CheckpointVersion = 3
 
 const ckptTrailer uint32 = 0x54504b43 // "CKPT"
 
@@ -119,10 +121,6 @@ func (ck *Checkpoint) Save(w io.Writer) error {
 		}
 		curs[i] = cur
 	}
-	cfgJSON, err := json.Marshal(t.cfg)
-	if err != nil {
-		return fmt.Errorf("sim: encoding config: %w", err)
-	}
 
 	bw := bufio.NewWriter(w)
 	cw := codec.NewWriter(bw)
@@ -130,7 +128,6 @@ func (ck *Checkpoint) Save(w io.Writer) error {
 	cw.U32(CheckpointVersion)
 	cw.U64(t.cfg.GeometryFingerprint())
 	cw.U64(ContextSetFingerprint(ck.specs))
-	cw.Bytes(cfgJSON)
 	cw.U32(uint32(len(t.ctxs)))
 	for i, th := range t.ctxs {
 		sp := ck.specs[i]
@@ -160,18 +157,22 @@ func (ck *Checkpoint) Save(w io.Writer) error {
 }
 
 // LoadCheckpoint reads a checkpoint written by Save and rebuilds the
-// warmed template: trained branch structures and cache contents come from
-// the file, each context's instruction stream is regenerated from its
-// (workload, seed) and fast-forwarded to the recorded frontier, and the
-// pipeline starts empty at cycle zero. The result forks exactly like the
-// checkpoint that was saved.
+// warmed template under cfg: trained branch structures and cache contents
+// come from the file, each context's instruction stream is regenerated
+// from its (workload, seed) and fast-forwarded to the recorded frontier,
+// and the pipeline starts empty at cycle zero. The result forks exactly
+// like the checkpoint that was saved.
+//
+// cfg is the caller's template configuration. Its geometry fingerprint
+// must equal the file's, and the branch-structure and cache sections are
+// decoded with its geometry.
 //
 // want is the context set the caller expects the file to hold. Each
 // context's (workload, seed, warm) must equal it, checked as soon as it
 // is decoded: the frontier is bounded only by the warm budget, and the
 // fast-forward to it regenerates that many instructions, so a file must
 // not be able to name its own budget.
-func LoadCheckpoint(r io.Reader, want []ContextSpec) (*Checkpoint, error) {
+func LoadCheckpoint(r io.Reader, cfg Config, want []ContextSpec) (*Checkpoint, error) {
 	br := bufio.NewReader(r)
 	cr := codec.NewReader(br)
 
@@ -187,25 +188,14 @@ func LoadCheckpoint(r io.Reader, want []ContextSpec) (*Checkpoint, error) {
 	}
 	fp := cr.U64()
 	ctxFP := cr.U64()
-	cfgJSON := cr.Bytes(1 << 20)
 	if err := cr.Err(); err != nil {
 		return nil, fmt.Errorf("sim: reading checkpoint header: %w", err)
 	}
-	var cfg Config
-	if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
-		return nil, fmt.Errorf("sim: decoding checkpoint config: %w", err)
-	}
-	// json.Unmarshal forgives unknown keys, key case and duplicates, so
-	// require the exact bytes Save writes: a config that parses but is
-	// not its own encoding has been edited.
-	if canon, err := json.Marshal(cfg); err != nil || !bytes.Equal(canon, cfgJSON) {
-		return nil, fmt.Errorf("sim: checkpoint config is not in canonical form")
-	}
 	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: checkpoint config invalid: %w", err)
+		return nil, fmt.Errorf("sim: checkpoint template config invalid: %w", err)
 	}
 	if got := cfg.GeometryFingerprint(); got != fp {
-		return nil, fmt.Errorf("sim: checkpoint geometry fingerprint %016x does not match its config (%016x)", fp, got)
+		return nil, fmt.Errorf("sim: checkpoint geometry fingerprint %016x does not match the configuration's (%016x)", fp, got)
 	}
 
 	nctx := cr.U32()

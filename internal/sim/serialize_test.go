@@ -29,7 +29,7 @@ func TestSaveLoadForkMatchesInMemoryFork(t *testing.T) {
 	if err := ck.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), []ContextSpec{spec})
+	loaded, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), DefaultConfig(QueueIdeal, 256), []ContextSpec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +63,18 @@ func TestSaveLoadForkMatchesInMemoryFork(t *testing.T) {
 	}
 }
 
-// testCkptSpecs is the context set saveTestCheckpoint warms.
-var testCkptSpecs = []ContextSpec{{Workload: "gcc", Seed: 7, Warm: 20_000}}
+// testCkptSpecs is the context set saveTestCheckpoint warms, under
+// testCkptCfg.
+var (
+	testCkptSpecs = []ContextSpec{{Workload: "gcc", Seed: 7, Warm: 20_000}}
+	testCkptCfg   = DefaultConfig(QueueIdeal, 128)
+)
 
 // saveTestCheckpoint builds and serializes a small checkpoint once for the
 // corruption tests.
 func saveTestCheckpoint(t *testing.T) []byte {
 	t.Helper()
-	ck, err := NewCheckpoint(DefaultConfig(QueueIdeal, 128), testCkptSpecs...)
+	ck, err := NewCheckpoint(testCkptCfg, testCkptSpecs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +96,11 @@ type ckptOffsets struct {
 // memo-suffix length field of the one-context checkpoint file b. They sit
 // back to back just before the (empty) memo, which is followed by the
 // hierarchy section and the 4-byte trailer, so the offsets follow from
-// re-encoding the loaded sections. want is the file's context set.
-func sectionOffsets(tb testing.TB, b []byte, want []ContextSpec) ckptOffsets {
+// re-encoding the loaded sections. cfg and want are the file's
+// configuration and context set.
+func sectionOffsets(tb testing.TB, b []byte, cfg Config, want []ContextSpec) ckptOffsets {
 	tb.Helper()
-	ck, err := LoadCheckpoint(bytes.NewReader(b), want)
+	ck, err := LoadCheckpoint(bytes.NewReader(b), cfg, want)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -134,7 +139,7 @@ func withU64(b []byte, off int, v uint64) []byte {
 // would be 64 MiB to 1 GiB.
 func TestLoadCheckpointBoundsAllocation(t *testing.T) {
 	good := saveTestCheckpoint(t)
-	off := sectionOffsets(t, good, testCkptSpecs)
+	off := sectionOffsets(t, good, testCkptCfg, testCkptSpecs)
 	bad := map[string][]byte{
 		"memo length":             withU64(good, off.memo, maxMemoSuffix),
 		"BTB entries":             withU64(good, off.btb, 1<<24),
@@ -145,7 +150,7 @@ func TestLoadCheckpointBoundsAllocation(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			_, err := LoadCheckpoint(bytes.NewReader(b), testCkptSpecs)
+			_, err := LoadCheckpoint(bytes.NewReader(b), testCkptCfg, testCkptSpecs)
 			runtime.ReadMemStats(&after)
 			if err == nil {
 				t.Fatal("corrupt checkpoint loaded without error")
@@ -162,10 +167,10 @@ func TestLoadCheckpointBoundsAllocation(t *testing.T) {
 // with an error, never a panic or a silently wrong machine.
 func TestLoadCheckpointRejectsDamage(t *testing.T) {
 	good := saveTestCheckpoint(t)
-	if _, err := LoadCheckpoint(bytes.NewReader(good), testCkptSpecs); err != nil {
+	if _, err := LoadCheckpoint(bytes.NewReader(good), testCkptCfg, testCkptSpecs); err != nil {
 		t.Fatalf("pristine file failed to load: %v", err)
 	}
-	off := sectionOffsets(t, good, testCkptSpecs)
+	off := sectionOffsets(t, good, testCkptCfg, testCkptSpecs)
 
 	damage := map[string]func([]byte) []byte{
 		"empty": func(b []byte) []byte { return nil },
@@ -191,11 +196,6 @@ func TestLoadCheckpointRejectsDamage(t *testing.T) {
 		"trailing garbage": func(b []byte) []byte { return append(b, 0xaa) },
 		// The remaining cases decode to a valid machine, but not to the
 		// one the bytes spell out: Save would write a different file.
-		"config key case": func(b []byte) []byte {
-			i := bytes.Index(b, []byte(`"QueueSize":`))
-			b[i+1] = 'q'
-			return b
-		},
 		"bool byte not 0 or 1": func(b []byte) []byte {
 			b[off.btb+16] = 2 // first BTB entry's valid flag
 			return b
@@ -209,7 +209,7 @@ func TestLoadCheckpointRejectsDamage(t *testing.T) {
 		f := f
 		t.Run(name, func(t *testing.T) {
 			b := f(append([]byte(nil), good...))
-			if _, err := LoadCheckpoint(bytes.NewReader(b), testCkptSpecs); err == nil {
+			if _, err := LoadCheckpoint(bytes.NewReader(b), testCkptCfg, testCkptSpecs); err == nil {
 				t.Fatal("damaged checkpoint loaded without error")
 			} else {
 				t.Logf("rejected: %v", err)
@@ -218,21 +218,24 @@ func TestLoadCheckpointRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointRejectsCfgTamper: editing a geometry field inside the
-// embedded config JSON must be caught by the fingerprint check even
-// though the file still parses field by field.
+// TestLoadCheckpointRejectsCfgTamper: the file holds no configuration,
+// so loading it under a configuration whose geometry differs from the
+// one it was saved with must fail the fingerprint check, while an edit
+// outside the geometry must still load.
 func TestLoadCheckpointRejectsCfgTamper(t *testing.T) {
 	good := saveTestCheckpoint(t)
-	b := append([]byte(nil), good...)
-	i := bytes.Index(b, []byte(`"BTBEntries":4096`))
-	if i < 0 {
-		t.Fatal("config JSON not found in file")
+	bad := testCkptCfg
+	bad.BTBEntries *= 2
+	if _, err := LoadCheckpoint(bytes.NewReader(good), bad, testCkptSpecs); err == nil {
+		t.Fatal("checkpoint loaded under a different BTB geometry")
+	} else if !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("geometry change rejected with %q, want a fingerprint error", err)
 	}
-	b[i+len(`"BTBEntries":`)] = '8' // 4096 -> 8096
-	if _, err := LoadCheckpoint(bytes.NewReader(b), testCkptSpecs); err == nil {
-		t.Fatal("tampered config loaded without error")
-	} else {
-		t.Logf("rejected: %v", err)
+	other := testCkptCfg
+	other.QueueSize *= 2
+	other.ROBSize *= 2
+	if _, err := LoadCheckpoint(bytes.NewReader(good), other, testCkptSpecs); err != nil {
+		t.Fatalf("a non-geometry config change broke loading: %v", err)
 	}
 }
 
@@ -242,7 +245,7 @@ func TestLoadCheckpointRejectsCfgTamper(t *testing.T) {
 // the frontier, so the claim has to be refused before that runs.
 func TestLoadCheckpointRejectsForgedBudget(t *testing.T) {
 	good := saveTestCheckpoint(t)
-	off := sectionOffsets(t, good, testCkptSpecs)
+	off := sectionOffsets(t, good, testCkptCfg, testCkptSpecs)
 	forged := testCkptSpecs[0]
 	forged.Warm = 1 << 50
 	// The warm budget and frontier sit just before the predictor section;
@@ -252,7 +255,7 @@ func TestLoadCheckpointRejectsForgedBudget(t *testing.T) {
 	b = withU64(b, 20, ContextSetFingerprint([]ContextSpec{forged}))
 	done := make(chan error, 1)
 	go func() {
-		_, err := LoadCheckpoint(bytes.NewReader(b), testCkptSpecs)
+		_, err := LoadCheckpoint(bytes.NewReader(b), testCkptCfg, testCkptSpecs)
 		done <- err
 	}()
 	select {
@@ -350,7 +353,7 @@ func TestCheckpointStoreMissOnGeometryChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := LoadCheckpoint(f, []ContextSpec{spec}); err != nil {
+	if _, err := LoadCheckpoint(f, cfg, []ContextSpec{spec}); err != nil {
 		t.Fatalf("rebuilt store file unloadable: %v", err)
 	}
 }

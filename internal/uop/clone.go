@@ -14,21 +14,10 @@ func NewCloneMap() *CloneMap {
 	return &CloneMap{m: make(map[*UOp]*UOp)}
 }
 
-// IQState is implemented by queue-private per-instruction state (the
-// values a queue stores in UOp.IQ) that must survive a machine clone.
-// An instruction's state can outlive its residence in the queue — the
-// segmented design keeps its entry attached from dispatch to writeback,
-// across issue — so the remapping happens here, where every live uop
-// passes, rather than in the queue's own Clone, which only sees the
-// instructions still resident.
-type IQState interface {
-	// CloneIQ returns the state's clone for the cloned instruction.
-	CloneIQ(clone *UOp) any
-}
-
 // Get returns the clone of u, creating it — and the clones of its
-// producers and queue-private state — on first sight. Get(nil) is nil.
-// IQ values that do not implement IQState are dropped from the clone.
+// producers — on first sight. Get(nil) is nil. The queue-private IQ value
+// is not carried: the owning queue's Clone re-attaches its own state to
+// the clones of the instructions it holds (iq.Queue.Clone).
 func (cm *CloneMap) Get(u *UOp) *UOp {
 	if u == nil {
 		return nil
@@ -46,9 +35,6 @@ func (cm *CloneMap) Get(u *UOp) *UOp {
 	cm.m[u] = c
 	c.Prod[0] = cm.Get(u.Prod[0])
 	c.Prod[1] = cm.Get(u.Prod[1])
-	if st, ok := u.IQ.(IQState); ok {
-		c.IQ = st.CloneIQ(c)
-	}
 	return c
 }
 

@@ -45,7 +45,8 @@ type UOp struct {
 	// (issue + latency, fully bypassed).
 	Complete int64
 	// EADone is when the effective address is available to the LSQ
-	// (memory operations only).
+	// (memory operations only). The engine sets it through
+	// pipeline.LSQ.IssueAddress, which is how the LSQ learns of it.
 	EADone int64
 	// MemKind records how the memory system serviced a load.
 	MemKind int8
