@@ -280,7 +280,6 @@ func (q *DistIQ) BeginCycle(cycle int64) {
 			}
 		}
 		if len(q.lines[q.head]) == 0 {
-			q.lines[q.head] = nil
 			q.head = (q.head + 1) % q.cfg.Lines
 			q.base++
 		}
@@ -293,8 +292,10 @@ func (q *DistIQ) BeginCycle(cycle int64) {
 // the one whose completion unblocks the machine — guaranteeing forward
 // progress even under order inversion.
 func (q *DistIQ) relocateStragglers(cycle int64) {
+	// The head row is refilled in place: at most one instruction goes
+	// back per instruction read, always at or before the read position.
 	row := q.lines[q.head]
-	q.lines[q.head] = nil
+	q.lines[q.head] = row[:0]
 	for _, u := range row {
 		r, _ := q.maxReady(u, cycle)
 		d := r - cycle
@@ -346,6 +347,7 @@ func (q *DistIQ) relocateStragglers(cycle int64) {
 			q.lines[oldRow] = append(q.lines[oldRow], u)
 		}
 	}
+	clear(row[len(q.lines[q.head]):])
 }
 
 func (q *DistIQ) maxReady(u *uop.UOp, cycle int64) (int64, bool) {

@@ -221,16 +221,22 @@ func (c *Cache) resolveRemap(rm *Remap) error {
 func (q *EventQueue) cloneEvents(from *EventQueue) {
 	q.seq = from.seq
 	q.h = append(q.h[:0], from.h...)
+	q.refs = append(q.refs[:0], from.refs...)
+	q.free = append(q.free[:0], from.free...)
 }
 
-// resolveRemap rewrites every pending event's Ref through rm.
+// resolveRemap rewrites every pending event's Ref through rm; vacant
+// slab slots hold the zero Ref and are skipped.
 func (q *EventQueue) resolveRemap(rm *Remap) error {
-	for i := range q.h {
-		r, err := rm.ResolveRef(q.h[i].ref)
+	for i, ref := range q.refs {
+		if ref.H == nil {
+			continue
+		}
+		r, err := rm.ResolveRef(ref)
 		if err != nil {
 			return err
 		}
-		q.h[i].ref = r
+		q.refs[i] = r
 	}
 	return nil
 }

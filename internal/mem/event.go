@@ -53,16 +53,20 @@ func KindFunc(fn func(now int64, k Kind)) Ref { return Ref{H: kindFunc{}, Arg: f
 // EventQueue is a monotonic time-ordered callback queue. Events scheduled
 // for the same cycle run in scheduling order. The heap is managed by hand
 // on a typed slice (container/heap would box every event through `any`,
-// which allocates on the simulator's hottest path).
+// which allocates on the simulator's hottest path), and its items hold no
+// pointers: each names a slot of the refs slab, where its Ref waits until
+// delivery. Sifting then moves plain words, with no GC write barriers.
 type EventQueue struct {
-	h   []event
-	seq uint64
+	h    []event
+	refs []Ref   // slab of pending Refs, indexed by event.slot
+	free []int32 // vacant refs slots
+	seq  uint64
 }
 
 type event struct {
 	when int64
 	seq  uint64
-	ref  Ref
+	slot int32
 }
 
 func (q *EventQueue) less(i, j int) bool {
@@ -102,16 +106,10 @@ func (q *EventQueue) down(i int) {
 	}
 }
 
-func (q *EventQueue) push(e event) {
-	q.h = append(q.h, e)
-	q.up(len(q.h) - 1)
-}
-
 func (q *EventQueue) pop() event {
 	e := q.h[0]
 	n := len(q.h) - 1
 	q.h[0] = q.h[n]
-	q.h[n] = event{} // clear the ref so released values can be collected
 	q.h = q.h[:n]
 	if n > 0 {
 		q.down(0)
@@ -124,8 +122,18 @@ func (q *EventQueue) pop() event {
 // own structures). An event scheduled in the past fires on the next
 // RunDue, but still observes its own scheduled time — see RunDue.
 func (q *EventQueue) ScheduleRef(when int64, ref Ref) {
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.refs[slot] = ref
+	} else {
+		slot = int32(len(q.refs))
+		q.refs = append(q.refs, ref)
+	}
 	q.seq++
-	q.push(event{when: when, seq: q.seq, ref: ref})
+	q.h = append(q.h, event{when: when, seq: q.seq, slot: slot})
+	q.up(len(q.h) - 1)
 }
 
 // Schedule runs fn at the given cycle: ScheduleRef over a PlainFunc
@@ -146,7 +154,10 @@ func (q *EventQueue) RunDue(now int64) int {
 	n := 0
 	for len(q.h) > 0 && q.h[0].when <= now {
 		e := q.pop()
-		e.ref.Deliver(e.when, KindHit)
+		ref := q.refs[e.slot]
+		q.refs[e.slot] = Ref{} // release the payload for collection
+		q.free = append(q.free, e.slot)
+		ref.Deliver(e.when, KindHit)
 		n++
 	}
 	return n

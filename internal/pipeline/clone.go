@@ -17,19 +17,15 @@ import (
 
 // Clone returns a copy of the front end reading from stream and using the
 // given already-cloned predictor, BTB and instruction cache. Buffered
-// instructions are remapped through m.
+// instructions are remapped through m. The clone starts with no released
+// uops and with reuse off; its owner enables it (SetReuse).
 func (f *FrontEnd) Clone(stream trace.Stream, bp *bpred.Predictor, btb *bpred.BTB, icache *mem.Cache, m *uop.CloneMap) *FrontEnd {
 	n := NewFrontEnd(f.cfg, stream, bp, btb, icache)
-	if len(f.buf) > 0 {
-		n.buf = make([]fetched, len(f.buf))
-		for i, fe := range f.buf {
-			n.buf[i] = fetched{u: m.Get(fe.u), readyAt: fe.readyAt}
-		}
+	for i := 0; i < f.buf.len(); i++ {
+		fe := f.buf.at(i)
+		n.buf.push(fetched{u: m.Get(fe.u), readyAt: fe.readyAt})
 	}
-	if f.pending != nil {
-		in := *f.pending
-		n.pending = &in
-	}
+	n.pending, n.hasPending = f.pending, f.hasPending
 	n.seq = f.seq
 	n.done = f.done
 	n.stalledOn = m.Get(f.stalledOn)

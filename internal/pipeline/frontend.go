@@ -50,10 +50,18 @@ type FrontEnd struct {
 	btb    *bpred.BTB
 	icache *mem.Cache
 
-	buf     []fetched
-	pending *isa.Inst // pushed-back instruction (fetch-group boundary)
-	seq     int64
-	done    bool
+	buf        ring[fetched]
+	pending    isa.Inst // pushed-back instruction (fetch-group boundary)
+	hasPending bool
+	seq        int64
+	done       bool
+
+	// free holds the context's committed uops in commit order (Release).
+	// Fetch reuses the oldest once more than reuseDist uops were released
+	// after it; see SetReuse for why that distance is safe.
+	free      ring[*uop.UOp]
+	reuseDist int
+	onReuse   func(*uop.UOp)
 
 	stalledOn   *uop.UOp // mispredicted branch being waited on
 	icacheWait  bool
@@ -70,7 +78,7 @@ type FrontEnd struct {
 
 // NewFrontEnd builds a front end over the given trace.
 func NewFrontEnd(cfg FrontEndConfig, s trace.Stream, bp *bpred.Predictor, btb *bpred.BTB, icache *mem.Cache) *FrontEnd {
-	return &FrontEnd{cfg: cfg, stream: s, bp: bp, btb: btb, icache: icache}
+	return &FrontEnd{cfg: cfg, stream: s, bp: bp, btb: btb, icache: icache, reuseDist: -1}
 }
 
 // feOpLineDone is the front end's only mem.Handler op: the awaited
@@ -86,7 +94,7 @@ func (f *FrontEnd) Depth() int {
 }
 
 // Done reports whether the trace is exhausted and the buffer drained.
-func (f *FrontEnd) Done() bool { return f.done && len(f.buf) == 0 }
+func (f *FrontEnd) Done() bool { return f.done && f.buf.len() == 0 }
 
 // Fetch runs one fetch cycle: up to FetchWidth instructions, at most
 // MaxBranches branches, ending at a taken branch, subject to the
@@ -108,13 +116,13 @@ func (f *FrontEnd) Fetch(cycle int64) {
 	}
 	branches := 0
 	for n := 0; n < f.cfg.FetchWidth; n++ {
-		if len(f.buf) >= f.cfg.BufferCap {
+		if f.buf.len() >= f.cfg.BufferCap {
 			return
 		}
 		var in isa.Inst
-		if f.pending != nil {
-			in = *f.pending
-			f.pending = nil
+		if f.hasPending {
+			in = f.pending
+			f.hasPending = false
 		} else {
 			var ok bool
 			in, ok = f.stream.Next()
@@ -126,7 +134,7 @@ func (f *FrontEnd) Fetch(cycle int64) {
 		// Table 1: at most three branch predictions per cycle. A fourth
 		// branch ends the group and is refetched next cycle.
 		if in.Class == isa.Branch && branches >= f.cfg.MaxBranches {
-			f.pending = &in
+			f.pending, f.hasPending = in, true
 			return
 		}
 
@@ -153,7 +161,7 @@ func (f *FrontEnd) Fetch(cycle int64) {
 			}
 		}
 
-		u := uop.New(f.seq, in)
+		u := f.newUOp(in)
 		f.seq++
 		f.fetchedCount++
 
@@ -183,7 +191,7 @@ func (f *FrontEnd) Fetch(cycle int64) {
 			}
 		}
 
-		f.buf = append(f.buf, fetched{u: u, readyAt: cycle + int64(f.Depth())})
+		f.buf.push(fetched{u: u, readyAt: cycle + int64(f.Depth())})
 		if endGroup || stallForLine || f.stalledOn != nil {
 			return
 		}
@@ -205,20 +213,70 @@ func (f *FrontEnd) Train(in isa.Inst) {
 // NextReady returns the oldest instruction that has traversed the front
 // end by the given cycle, or nil.
 func (f *FrontEnd) NextReady(cycle int64) *uop.UOp {
-	if len(f.buf) == 0 || f.buf[0].readyAt > cycle {
+	if f.buf.len() == 0 || f.buf.at(0).readyAt > cycle {
 		return nil
 	}
-	return f.buf[0].u
+	return f.buf.at(0).u
 }
 
 // Pop consumes the instruction returned by NextReady.
-func (f *FrontEnd) Pop() {
-	f.buf[0] = fetched{}
-	f.buf = f.buf[1:]
-}
+func (f *FrontEnd) Pop() { f.buf.pop() }
 
 // BufLen returns the number of buffered instructions.
-func (f *FrontEnd) BufLen() int { return len(f.buf) }
+func (f *FrontEnd) BufLen() int { return f.buf.len() }
+
+// SetReuse makes fetch reuse the uops handed back by Release once more
+// than distance further uops have been released after them; a negative
+// distance never reuses (Release drops its argument). onReuse, if
+// non-nil, sees each uop just before it is reset for reuse — a checking
+// hook for tests.
+//
+// The engine passes the context's ROB capacity. That is safe because
+// nothing refers to a committed uop for longer: a Prod edge to p is
+// linked only while p's completion is unknown or in the future, so every
+// consumer of p was dispatched before p committed and sat in p's ROB at
+// that moment, and it commits within ROB-capacity further commits. The
+// queue designs' own references (register and availability tables,
+// waiter chains, scoreboards) are dropped by writeback, before commit.
+func (f *FrontEnd) SetReuse(distance int, onReuse func(*uop.UOp)) {
+	f.reuseDist, f.onReuse = distance, onReuse
+}
+
+// Release hands back a committed uop for reuse (see SetReuse). Uops are
+// released in commit order.
+func (f *FrontEnd) Release(u *uop.UOp) {
+	if f.reuseDist >= 0 {
+		f.free.push(u)
+	}
+}
+
+// newUOp returns a fresh uop for in: a recycled one when the oldest
+// released uop is far enough behind, a new allocation otherwise.
+func (f *FrontEnd) newUOp(in isa.Inst) *uop.UOp {
+	if f.reuseDist < 0 || f.free.len() <= f.reuseDist {
+		return uop.New(f.seq, in)
+	}
+	u := f.free.pop()
+	if f.onReuse != nil {
+		f.onReuse(u)
+	}
+	u.Reset(f.seq, in)
+	return u
+}
+
+// Refers reports whether the front end still refers to u: a buffered
+// slot or the branch fetch is stalled on (a checking aid for uop reuse).
+func (f *FrontEnd) Refers(u *uop.UOp) bool {
+	if f.stalledOn == u {
+		return true
+	}
+	for i := 0; i < f.buf.len(); i++ {
+		if f.buf.at(i).u == u {
+			return true
+		}
+	}
+	return false
+}
 
 // Fetched returns the number of instructions fetched.
 func (f *FrontEnd) Fetched() uint64 { return f.fetchedCount }

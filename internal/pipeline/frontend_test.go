@@ -49,7 +49,7 @@ func TestFrontEndDepthAndDelivery(t *testing.T) {
 		t.Error("cold I-cache miss should have stalled fetch")
 	}
 	// Delivery honours the pipeline depth.
-	first := fe.buf[0]
+	first := fe.buf.at(0)
 	if fe.NextReady(first.readyAt-1) != nil {
 		t.Fatal("delivered before traversing the front end")
 	}
@@ -95,7 +95,7 @@ func TestFrontEndMispredictStall(t *testing.T) {
 	if fe.Mispredicts() != 1 {
 		t.Fatalf("mispredicts = %d, want 1 (cold BTB)", fe.Mispredicts())
 	}
-	brUop := fe.buf[fe.BufLen()-1].u
+	brUop := fe.buf.at(fe.BufLen() - 1).u
 	if !brUop.Mispredicted || !brUop.IsBranch() {
 		t.Fatal("branch uop not flagged")
 	}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/iq"
 	"repro/internal/mem"
@@ -559,6 +560,27 @@ func (l *LSQ) finishLoad(t int64, u *uop.UOp) {
 	if l.OnLoadDone != nil {
 		l.OnLoadDone(t, u)
 	}
+}
+
+// Refers reports whether any of the queue's lists names u (a checking
+// aid for uop reuse).
+func (l *LSQ) Refers(u *uop.UOp) bool {
+	for i := 0; i < l.entries.len(); i++ {
+		if l.entries.at(i) == u {
+			return true
+		}
+	}
+	for i := 0; i < l.stores.len(); i++ {
+		if l.stores.at(i) == u {
+			return true
+		}
+	}
+	for _, d := range l.dataWait {
+		if d.st == u || d.prod == u {
+			return true
+		}
+	}
+	return slices.Contains(l.addrWait, u) || slices.Contains(l.ready, u)
 }
 
 // Forwards returns the number of store-to-load forwards.

@@ -42,3 +42,24 @@ func (r *Renamer) Rename(u *uop.UOp, cycle int64) {
 		r.last[u.Inst.Dest] = u
 	}
 }
+
+// Retire drops u from the table at commit if it is still the latest
+// producer of its destination. Rename would not link a committed
+// producer anyway (its completion has passed), so this changes no edge;
+// it keeps the table from naming a uop the front end may reuse.
+func (r *Renamer) Retire(u *uop.UOp) {
+	if u.Inst.HasDest() && r.last[u.Inst.Dest] == u {
+		r.last[u.Inst.Dest] = nil
+	}
+}
+
+// Refers reports whether a table row names u (a checking aid for uop
+// reuse).
+func (r *Renamer) Refers(u *uop.UOp) bool {
+	for _, p := range r.last {
+		if p == u {
+			return true
+		}
+	}
+	return false
+}

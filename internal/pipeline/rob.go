@@ -68,3 +68,15 @@ func (r *ROB) Commit(cycle int64, width int, onCommit func(*uop.UOp)) int {
 	}
 	return done
 }
+
+// Refers reports whether u is resident or is the producer of a resident
+// instruction's operand (a checking aid for uop reuse).
+func (r *ROB) Refers(u *uop.UOp) bool {
+	for i := 0; i < r.n; i++ {
+		x := r.ring[(r.head+i)%len(r.ring)]
+		if x == u || x.Prod[0] == u || x.Prod[1] == u {
+			return true
+		}
+	}
+	return false
+}

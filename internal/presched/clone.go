@@ -14,7 +14,7 @@ func (q *PreschedIQ) Clone(m *uop.CloneMap) iq.Queue {
 	n.outScratch = nil
 	n.lines = make([][]*uop.UOp, len(q.lines))
 	for r, row := range q.lines {
-		if row == nil {
+		if len(row) == 0 {
 			continue
 		}
 		nr := make([]*uop.UOp, len(row))

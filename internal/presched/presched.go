@@ -330,11 +330,14 @@ func (q *PreschedIQ) BeginCycle(cycle int64) {
 			moved++
 		}
 		if moved > 0 {
-			q.lines[q.head] = append(row[:0], row[moved:]...)
+			// The row keeps its backing array, so refilling it next time
+			// round the ring allocates nothing.
+			n := copy(row, row[moved:])
+			clear(row[n:])
+			q.lines[q.head] = row[:n]
 			q.refresh(q.head)
 		}
 		if len(q.lines[q.head]) == 0 {
-			q.lines[q.head] = nil
 			q.head = (q.head + 1) % q.cfg.Lines
 			q.base++
 		}

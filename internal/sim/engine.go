@@ -154,8 +154,19 @@ func (e *Engine) newContext(id int, s trace.Stream, robSize, lsqSize int, bp *bp
 	return th, nil
 }
 
-// bindCommit (re)binds a context's ROB commit callback to e and th.
+// bindCommit (re)binds a context's ROB commit callback to e and th, and
+// sets the front end's uop reuse distance to the context's ROB capacity
+// (pipeline.FrontEnd.SetReuse gives the proof).
 func (e *Engine) bindCommit(th *context) {
+	dist := th.rob.Capacity()
+	if neverReuse {
+		dist = -1
+	}
+	var check func(*uop.UOp)
+	if hook := reuseCheck; hook != nil {
+		check = func(u *uop.UOp) { hook(e, u) }
+	}
+	th.fe.SetReuse(dist, check)
 	th.commitFn = func(u *uop.UOp) {
 		th.committed++
 		e.stCommitted.Inc()
@@ -165,8 +176,19 @@ func (e *Engine) bindCommit(th *context) {
 		case u.IsLoad():
 			th.lsq.Remove(u)
 		}
+		th.ren.Retire(u)
+		th.fe.Release(u)
 	}
 }
+
+// Test hooks for uop reuse, read when a context is bound (NewEngine,
+// Checkpoint.Fork, LoadCheckpoint, CloneActive). reuseCheck, if set,
+// sees every uop a front end is about to reuse, with the engine that
+// owns it; neverReuse makes every fetch allocate.
+var (
+	reuseCheck func(e *Engine, u *uop.UOp)
+	neverReuse bool
+)
 
 // bindCallbacks (re)binds the issue loop's shared callbacks to e.
 func (e *Engine) bindCallbacks() {

@@ -19,6 +19,12 @@ const NotYet int64 = -1
 // nil if the value was already available at dispatch. This removes WAW/WAR
 // hazards exactly as a physical register file would, without modelling
 // value storage.
+//
+// Lifetime: the engine recycles uops. A uop is valid from fetch until
+// ROB-capacity further instructions of its context have committed after
+// its own commit; then the front end may reset it for a new instruction.
+// Nothing may keep a uop past that point; DESIGN.md §16 ("Uop lifetime")
+// shows that nothing in the machine does.
 type UOp struct {
 	// Seq is the dynamic program-order sequence number; smaller = older.
 	// Under SMT the counter is shared, so Seq also provides a global age
@@ -93,7 +99,15 @@ const (
 
 // New builds a UOp with all timing fields unset.
 func New(seq int64, in isa.Inst) *UOp {
-	return &UOp{
+	u := new(UOp)
+	u.Reset(seq, in)
+	return u
+}
+
+// Reset reinitialises u for a new dynamic instruction exactly as New
+// builds one: every edge, memo, queue field and timing stamp cleared.
+func (u *UOp) Reset(seq int64, in isa.Inst) {
+	*u = UOp{
 		Seq:        seq,
 		Inst:       in,
 		IssueCycle: NotYet,

@@ -114,3 +114,19 @@ func TestUOpSize(t *testing.T) {
 		t.Fatalf("unsafe.Sizeof(UOp{}) = %d, want at most 176", n)
 	}
 }
+
+// TestResetMatchesNew pins the reuse contract: a recycled uop carries
+// nothing of its previous instruction.
+func TestResetMatchesNew(t *testing.T) {
+	in := isa.Inst{Class: isa.Load, Src1: 1, Src2: 2, Dest: 3, Addr: 64}
+	p := New(1, in)
+	u := New(2, isa.Inst{Class: isa.Store, Src1: 4, Src2: 5})
+	u.Thread, u.Prod = 1, [2]*UOp{p, p}
+	u.DispatchCycle, u.IssueCycle, u.Complete, u.EADone = 3, 4, 5, 6
+	u.MemKind, u.WaitHead, u.RejGen, u.FwdKey = MemMiss, 7, 8, 9
+	u.Mispredicted, u.Renamed, u.IQ = true, true, 10
+	u.Reset(11, in)
+	if want := New(11, in); *u != *want {
+		t.Errorf("reset uop %+v, want %+v", *u, *want)
+	}
+}
