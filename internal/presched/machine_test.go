@@ -42,6 +42,7 @@ var invariantSeeds = []struct {
 	swaps bool
 }{
 	{"320-swim", invariantArgs{lines: 24, width: 12, buffer: 32, contexts: 1, mix: mixOf("swim"), seed: 1}, true},
+	{"1472-swim", invariantArgs{lines: 120, width: 12, buffer: 32, contexts: 1, mix: mixOf("swim"), seed: 1}, true},
 	{"1472-gcc", invariantArgs{lines: 120, width: 12, buffer: 32, contexts: 1, mix: mixOf("gcc"), seed: 3}, false},
 	{"smt2", invariantArgs{lines: 24, width: 12, buffer: 32, contexts: 2, mix: mixOf("mgrid", "gcc"), seed: 1}, false},
 	{"tiny-smt4", invariantArgs{lines: 4, width: 3, buffer: 4, contexts: 4, mix: mixOf("swim", "twolf", "ammp", "equake"), seed: 7}, true},

@@ -23,6 +23,10 @@ func TestGoldenCycleCounts(t *testing.T) {
 		{"segmented", SegmentedConfig(256, 64, true, true), "gcc", 13243, 8002},
 		{"prescheduled", PrescheduledConfig(256), "swim", 28603, 8003},
 		{"prescheduled", PrescheduledConfig(256), "gcc", 14748, 8001},
+		// 120 rows: a two-word open-row index, and on swim an array that
+		// fills so recycling takes the swap path.
+		{"prescheduled1472", PrescheduledConfig(1472), "swim", 30880, 8001},
+		{"prescheduled1472", PrescheduledConfig(1472), "gcc", 14754, 8001},
 		{"fifos", FIFOConfig(256), "swim", 5278, 8007},
 		{"fifos", FIFOConfig(256), "gcc", 12796, 8002},
 		{"distance", DistanceConfig(256), "swim", 10355, 8007},

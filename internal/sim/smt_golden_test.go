@@ -58,6 +58,16 @@ func TestSMTGoldenCycleCounts(t *testing.T) {
 			cycles: 10810, instructions: 32007,
 			perThread: []int64{10451, 5706, 10443, 5407},
 		},
+		{
+			// Four contexts share one prescheduling array; swim's misses
+			// wedge the issue buffer with campers.
+			name:      "presched4_swim_twolf",
+			cfg:       PrescheduledConfig(320),
+			workloads: []string{"swim", "twolf", "swim", "twolf"},
+			n:         32000, warm: 50000,
+			cycles: 62413, instructions: 32000,
+			perThread: []int64{13021, 3176, 12943, 2860},
+		},
 	}
 	for _, tc := range cases {
 		tc := tc
