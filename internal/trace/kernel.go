@@ -30,8 +30,11 @@ type staticOp struct {
 	// taken decides a branch's outcome for this dynamic instance. It is
 	// invoked exactly once per emission, so it may advance counters.
 	taken func() bool
-	// target names the block this branch transfers to when taken.
-	target string
+	// target names the block this branch transfers to when taken; build
+	// resolves it to the block's index and first PC.
+	target      string
+	targetBlock int
+	targetPC    uint64
 }
 
 type basicBlock struct {
@@ -127,32 +130,27 @@ func (b *kernelBuilder) build() (*kernelGen, error) {
 			pc += 4
 		}
 	}
-	blockPC := make(map[string]uint64, len(b.blocks))
 	for _, blk := range b.blocks {
 		if len(blk.ops) == 0 {
 			return nil, fmt.Errorf("trace: kernel %s: empty block %q", b.name, blk.label)
 		}
-		blockPC[blk.label] = blk.ops[0].pc
 	}
 	for _, blk := range b.blocks {
 		for j := range blk.ops {
 			op := &blk.ops[j]
 			if op.class == isa.Branch {
-				if _, ok := labels[op.target]; !ok {
+				t, ok := labels[op.target]
+				if !ok {
 					return nil, fmt.Errorf("trace: kernel %s: branch to unknown label %q", b.name, op.target)
 				}
+				op.targetBlock, op.targetPC = t, b.blocks[t].ops[0].pc
 			}
 			if op.class.IsMem() && op.addr == nil {
 				return nil, fmt.Errorf("trace: kernel %s: memory op without address callback in %q", b.name, blk.label)
 			}
 		}
 	}
-	return &kernelGen{
-		name:    b.name,
-		blocks:  b.blocks,
-		labels:  labels,
-		blockPC: blockPC,
-	}, nil
+	return &kernelGen{name: b.name, blocks: b.blocks}, nil
 }
 
 // mustBuild is build for the package's own benchmark constructors, whose
@@ -167,10 +165,8 @@ func (b *kernelBuilder) mustBuild() *kernelGen {
 
 // kernelGen executes a kernel template, producing a Stream.
 type kernelGen struct {
-	name    string
-	blocks  []*basicBlock
-	labels  map[string]int
-	blockPC map[string]uint64
+	name   string
+	blocks []*basicBlock
 
 	buf []isa.Inst
 	pos int
@@ -217,9 +213,9 @@ func (g *kernelGen) fill() {
 			}
 			if op.class == isa.Branch {
 				in.Taken = op.taken()
-				in.Target = g.blockPC[op.target]
+				in.Target = op.targetPC
 				if in.Taken {
-					next = g.labels[op.target]
+					next = op.targetBlock
 					transferred = true
 				}
 			}
