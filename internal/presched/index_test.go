@@ -11,28 +11,44 @@ import (
 )
 
 // checkIndex verifies the scheduling array's indexes and the buffer's
-// waiter chains against the rows and the buffer: every row's minimum
-// equals the smallest Seq recomputed from it, exactly the rows with a
-// free slot carry an open bit, total counts the buffer plus the array,
-// and every parked ticket is reachable from its producer's WaitHead.
-// No resident instruction, producer of a buffered one, issued
-// instruction awaiting re-check or availability-table producer heads a
-// stale chain. Valid between queue operations.
+// waiter chains against the rows and the buffer: every row's keys are
+// its entries' Seqs, its minimum and minimum index match the smallest
+// Seq recomputed from it, every tree node is the lesser of its children
+// (the left on a tie) and the root is the linear argmin over the rows,
+// exactly the rows with a free slot carry an open bit, total counts the
+// buffer plus the array, and every parked ticket is reachable from its
+// producer's WaitHead. No resident instruction, producer of a buffered
+// one, issued instruction awaiting re-check or availability-table
+// producer heads a stale chain. Valid between queue operations.
 func (q *PreschedIQ) checkIndex() error {
 	if err := q.sb.CheckChains(); err != nil {
 		return err
 	}
+	if err := q.checkTree(); err != nil {
+		return err
+	}
 	resident, open := len(q.buf), 0
 	for r, row := range q.lines {
-		m := int64(math.MaxInt64)
-		for _, x := range row {
-			m = min(m, x.Seq)
+		if len(q.keys[r]) != len(row) {
+			return fmt.Errorf("row %d holds %d entries and %d keys", r, len(row), len(q.keys[r]))
+		}
+		m, at := int64(math.MaxInt64), 0
+		for i, x := range row {
+			if q.keys[r][i] != x.Seq {
+				return fmt.Errorf("row %d entry %d has Seq %d, key %d", r, i, x.Seq, q.keys[r][i])
+			}
+			if x.Seq < m {
+				m, at = x.Seq, i
+			}
 			if err := q.sb.CheckHead(x); err != nil {
 				return err
 			}
 		}
-		if q.rowMin[r] != m {
-			return fmt.Errorf("row %d records minimum %d, its entries give %d", r, q.rowMin[r], m)
+		if q.rowMin(r) != m {
+			return fmt.Errorf("row %d records minimum %d, its entries give %d", r, q.rowMin(r), m)
+		}
+		if int(q.minIdx[r]) != at {
+			return fmt.Errorf("row %d records its minimum at %d, its entries give %d", r, q.minIdx[r], at)
 		}
 		if len(row) > q.cfg.LineWidth {
 			return fmt.Errorf("row %d holds %d entries, line width %d", r, len(row), q.cfg.LineWidth)
@@ -52,7 +68,8 @@ func (q *PreschedIQ) checkIndex() error {
 	if q.total != resident {
 		return fmt.Errorf("total %d, buffer and array hold %d", q.total, resident)
 	}
-	for _, u := range q.buf {
+	for _, e := range q.buf {
+		u := e.u
 		for _, x := range [...]*uop.UOp{u, u.Prod[0], u.Prod[1]} {
 			if err := q.sb.CheckHead(x); err != nil {
 				return err
@@ -68,6 +85,41 @@ func (q *PreschedIQ) checkIndex() error {
 		if err := q.sb.CheckHead(e.producer); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkTree verifies the row-minimum tree against its leaves: each leaf
+// past the last row is empty, each inner node is the lesser of its
+// children with the left one winning a tie, and the root names the row a
+// linear scan over the row minima picks first.
+func (q *PreschedIQ) checkTree() error {
+	if len(q.tree) != 2*q.leaves || q.leaves < q.cfg.Lines {
+		return fmt.Errorf("tree of %d nodes over %d leaves for %d rows", len(q.tree), q.leaves, q.cfg.Lines)
+	}
+	for r := 0; r < q.leaves; r++ {
+		n := q.tree[q.leaves+r]
+		if int(n.row) != r || (r >= q.cfg.Lines && n.key != math.MaxInt64) {
+			return fmt.Errorf("leaf %d holds %+v", r, n)
+		}
+	}
+	for i := q.leaves - 1; i >= 1; i-- {
+		want := q.tree[2*i]
+		if right := q.tree[2*i+1]; right.key < want.key {
+			want = right
+		}
+		if q.tree[i] != want {
+			return fmt.Errorf("tree node %d holds %+v, its children give %+v", i, q.tree[i], want)
+		}
+	}
+	row, key := 0, int64(math.MaxInt64)
+	for r := 0; r < q.cfg.Lines; r++ {
+		if m := q.rowMin(r); m < key {
+			row, key = r, m
+		}
+	}
+	if root := q.tree[1]; root != (minNode{key: key, row: int32(row)}) {
+		return fmt.Errorf("tree root %+v, linear scan gives row %d minimum %d", root, row, key)
 	}
 	return nil
 }
@@ -179,10 +231,48 @@ func TestRecycleSwapsWithOldest(t *testing.T) {
 		}
 		return m
 	}
-	if got := seqs(q.buf); len(got) != 2 || !got[5] || !got[2] {
+	var buf []*uop.UOp
+	for _, e := range q.buf {
+		buf = append(buf, e.u)
+	}
+	if got := seqs(buf); len(got) != 2 || !got[5] || !got[2] {
 		t.Fatalf("buffer holds %v, want the oldest (5) and the re-swapped camper (2)", got)
 	}
 	if got := seqs(q.lines[oldRow]); len(got) != 2 || !got[12] || !got[1] {
 		t.Fatalf("row %d holds %v, want 12 and the camper 1", oldRow, got)
+	}
+}
+
+// The row-minimum tree's root is the row a linear scan over the row
+// minima picks, first row on a tie, after random fills and after each of
+// a run of random single-row updates.
+func TestMinTreeMatchesScan(t *testing.T) {
+	seed := uint64(1)
+	rnd := func(n int) int {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return int(seed>>33) % n
+	}
+	// A small key range forces ties; the top value stands for an empty row.
+	key := func() int64 {
+		if k := rnd(9); k < 8 {
+			return int64(k)
+		}
+		return math.MaxInt64
+	}
+	for _, lines := range []int{1, 2, 5, 63, 64, 65, 120, 130} {
+		q := MustNew(Config{Lines: lines, LineWidth: 2, IssueBuffer: 4, PredictedLoadLatency: 4})
+		for trial := 0; trial < 50; trial++ {
+			for r := 0; r < lines; r++ {
+				q.setRowMin(r, key())
+			}
+			for step := 0; step < 4*lines; step++ {
+				if step > 0 {
+					q.setRowMin(rnd(lines), key())
+				}
+				if err := q.checkTree(); err != nil {
+					t.Fatalf("%d lines, trial %d, step %d: %v", lines, trial, step, err)
+				}
+			}
+		}
 	}
 }

@@ -61,6 +61,22 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// minNode is one node of the row-minimum tree: the smallest Seq under it
+// (math.MaxInt64: no instruction) and the physical row holding it. On a
+// tie the left child wins, so the root names the first row a linear scan
+// over the row minima would pick.
+type minNode struct {
+	key int64
+	row int32
+}
+
+// bufEntry is one issue-buffer slot.
+type bufEntry struct {
+	u  *uop.UOp
+	at int64 // cycle it arrived
+	h  int32 // scoreboard ticket
+}
+
 type availEntry struct {
 	valid    bool
 	producer *uop.UOp
@@ -76,20 +92,22 @@ type availEntry struct {
 // re-evaluating the entry's operands, and the unreadiness statistic is a
 // popcount.
 //
-// Two per-row indexes keep the scheduling array's searches off its
-// contents: rowMin finds the oldest array instruction without walking
+// The scheduling array's searches stay off its contents. Each row keeps
+// its entries' Seqs beside them and the index of its oldest; a min-tree
+// over the row minima finds the oldest array instruction without walking
 // every row, and openW lets placement skip full rows without probing
 // them.
 type PreschedIQ struct {
 	cfg    Config
 	lines  [][]*uop.UOp // ring buffer of rows
-	rowMin []int64      // per physical row: smallest Seq in it (math.MaxInt64: empty)
+	keys   [][]int64    // per physical row: each entry's Seq (parallel to lines)
+	minIdx []int32      // per physical row: index of its smallest Seq
+	tree   []minNode    // row-minimum tree: root 1, row r's leaf at leaves+r
+	leaves int          // leaf count: Lines rounded up to a power of two
 	openW  []uint64     // per physical row: fewer than LineWidth entries
 	head   int          // index of the oldest row
 	base   int64        // predicted-ready cycle of the oldest row
-	buf    []*uop.UOp   // issue buffer
-	bufAt  []int64      // cycle each buffer entry arrived (parallel to buf)
-	bufH   []int32      // scoreboard ticket of each entry (parallel to buf)
+	buf    []bufEntry   // issue buffer, in arrival order
 	total  int
 	now    int64 // current cycle; clocks wakeup deliveries
 
@@ -129,10 +147,17 @@ func New(cfg Config) (*PreschedIQ, error) {
 	if threads < 1 {
 		threads = 1
 	}
+	leaves := 1
+	for leaves < cfg.Lines {
+		leaves <<= 1
+	}
 	q := &PreschedIQ{
 		cfg:    cfg,
 		lines:  make([][]*uop.UOp, cfg.Lines),
-		rowMin: make([]int64, cfg.Lines),
+		keys:   make([][]int64, cfg.Lines),
+		minIdx: make([]int32, cfg.Lines),
+		tree:   make([]minNode, 2*leaves),
+		leaves: leaves,
 		openW:  bitvec.New(cfg.Lines),
 		avail:  make([]availEntry, threads*isa.NumRegs),
 		base:   0,
@@ -144,20 +169,52 @@ func New(cfg Config) (*PreschedIQ, error) {
 	for i := range q.free {
 		q.free[i] = int32(cfg.IssueBuffer - 1 - i)
 	}
-	for r := range q.rowMin {
-		q.rowMin[r] = math.MaxInt64
+	for r := 0; r < leaves; r++ {
+		q.tree[leaves+r] = minNode{key: math.MaxInt64, row: int32(r)}
+	}
+	for i := leaves - 1; i >= 1; i-- {
+		q.tree[i] = q.tree[2*i]
+	}
+	for r := 0; r < cfg.Lines; r++ {
 		bitvec.Set(q.openW, r)
 	}
 	q.sb.Grow(cfg.IssueBuffer)
 	return q, nil
 }
 
+// rowMin returns the smallest Seq in physical row r (math.MaxInt64:
+// empty).
+func (q *PreschedIQ) rowMin(r int) int64 { return q.tree[q.leaves+r].key }
+
+// setRowMin records m as physical row r's minimum and repairs the tree
+// above its leaf, stopping at the first node that does not change.
+func (q *PreschedIQ) setRowMin(r int, m int64) {
+	i := q.leaves + r
+	if q.tree[i].key == m {
+		return
+	}
+	q.tree[i].key = m
+	for i > 1 {
+		i >>= 1
+		n := q.tree[2*i]
+		if right := q.tree[2*i+1]; right.key < n.key {
+			n = right
+		}
+		if q.tree[i] == n {
+			return
+		}
+		q.tree[i] = n
+	}
+}
+
 // push appends u to physical row r, keeping the row's minimum and open
 // bit current. The row must be open.
 func (q *PreschedIQ) push(r int, u *uop.UOp) {
 	q.lines[r] = append(q.lines[r], u)
-	if u.Seq < q.rowMin[r] {
-		q.rowMin[r] = u.Seq
+	q.keys[r] = append(q.keys[r], u.Seq)
+	if u.Seq < q.rowMin(r) {
+		q.minIdx[r] = int32(len(q.keys[r]) - 1)
+		q.setRowMin(r, u.Seq)
 	}
 	if len(q.lines[r]) == q.cfg.LineWidth {
 		bitvec.Clear(q.openW, r)
@@ -165,16 +222,33 @@ func (q *PreschedIQ) push(r int, u *uop.UOp) {
 }
 
 // refresh recomputes physical row r's minimum and open bit after
-// entries left it: at most LineWidth entries, never the whole array.
+// entries left it: at most LineWidth keys, never the whole array, and no
+// instruction loaded.
 func (q *PreschedIQ) refresh(r int) {
-	m := int64(math.MaxInt64)
-	for _, x := range q.lines[r] {
-		if x.Seq < m {
-			m = x.Seq
+	m, at := int64(math.MaxInt64), 0
+	for i, k := range q.keys[r] {
+		if k < m {
+			m, at = k, i
 		}
 	}
-	q.rowMin[r] = m
+	q.minIdx[r] = int32(at)
+	q.setRowMin(r, m)
 	bitvec.Assign(q.openW, r, len(q.lines[r]) < q.cfg.LineWidth)
+}
+
+// othersFull reports whether every row but the head is full: one masked
+// test per open-row word. Placement can then only swap.
+func (q *PreschedIQ) othersFull() bool {
+	hw, hb := q.head>>6, uint(q.head)&63
+	for k, w := range q.openW {
+		if k == hw {
+			w &^= 1 << hb
+		}
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // firstOpen returns the physical row of the first open row at offsets
@@ -292,9 +366,7 @@ func (q *PreschedIQ) bufEnter(u *uop.UOp, cycle int64) {
 	if q.sb.Track(t, u, cycle) {
 		bitvec.Set(q.readyW, int(t))
 	}
-	q.buf = append(q.buf, u)
-	q.bufAt = append(q.bufAt, cycle)
-	q.bufH = append(q.bufH, t)
+	q.buf = append(q.buf, bufEntry{u: u, at: cycle, h: t})
 }
 
 // bufLeave releases ticket t after its instruction left the buffer.
@@ -330,11 +402,14 @@ func (q *PreschedIQ) BeginCycle(cycle int64) {
 			moved++
 		}
 		if moved > 0 {
-			// The row keeps its backing array, so refilling it next time
+			// The row keeps its backing arrays, so refilling it next time
 			// round the ring allocates nothing.
 			n := copy(row, row[moved:])
 			clear(row[n:])
 			q.lines[q.head] = row[:n]
+			keys := q.keys[q.head]
+			copy(keys, keys[moved:])
+			q.keys[q.head] = keys[:n]
 			q.refresh(q.head)
 		}
 		if len(q.lines[q.head]) == 0 {
@@ -372,7 +447,7 @@ func (q *PreschedIQ) recycleCampers(cycle int64, need int) {
 	for n := 0; n < need; n++ {
 		pick := -1
 		for i := len(q.buf) - 1; i >= 0; i-- {
-			if !bitvec.Test(q.readyW, int(q.bufH[i])) {
+			if !bitvec.Test(q.readyW, int(q.buf[i].h)) {
 				pick = i
 				break
 			}
@@ -380,11 +455,12 @@ func (q *PreschedIQ) recycleCampers(cycle int64, need int) {
 		if pick < 0 {
 			return // every camper is ready; they will issue
 		}
-		u := q.buf[pick]
-		q.bufLeave(q.bufH[pick])
-		q.buf = append(q.buf[:pick], q.buf[pick+1:]...)
-		q.bufAt = append(q.bufAt[:pick], q.bufAt[pick+1:]...)
-		q.bufH = append(q.bufH[:pick], q.bufH[pick+1:]...)
+		u := q.buf[pick].u
+		q.bufLeave(q.buf[pick].h)
+		last := len(q.buf) - 1
+		copy(q.buf[pick:], q.buf[pick+1:])
+		q.buf[last] = bufEntry{}
+		q.buf = q.buf[:last]
 
 		d := int64(unknownDelay)
 		known := true
@@ -409,10 +485,14 @@ func (q *PreschedIQ) recycleCampers(cycle int64, need int) {
 			idx = 1 // never into the head row: it is what we are draining
 		}
 		// Search the rows at and after the target first, then back
-		// towards (never into) the head row.
-		placed := q.firstOpen(idx, q.cfg.Lines)
-		if placed < 0 {
-			placed = q.lastOpen(1, idx)
+		// towards (never into) the head row. Together the two searches
+		// cover every row but the head, so skip them when all are full.
+		placed := -1
+		if !q.othersFull() {
+			placed = q.firstOpen(idx, q.cfg.Lines)
+			if placed < 0 {
+				placed = q.lastOpen(1, idx)
+			}
 		}
 		if placed < 0 {
 			// Array completely full: swap the camper with the globally
@@ -420,29 +500,23 @@ func (q *PreschedIQ) recycleCampers(cycle int64, need int) {
 			// slot, the oldest instruction is the one whose completion
 			// unblocks the machine (it is the ROB head or feeds it), and
 			// the camper takes its slot — guaranteed forward progress
-			// even when every structure is full. The row minima find it
-			// without walking the array (Seq is unique, so the row and
-			// index are the ones a row-major walk would pick).
-			oldRow, oldSeq := -1, int64(math.MaxInt64)
-			for r, m := range q.rowMin {
-				if m < oldSeq {
-					oldRow, oldSeq = r, m
-				}
-			}
-			if oldRow < 0 {
+			// even when every structure is full. The tree's root names
+			// its row and minIdx its place in the row (Seq is unique, so
+			// they are the ones a row-major walk would pick).
+			root := q.tree[1]
+			if root.key == math.MaxInt64 {
 				// No array instructions at all: give up (cannot happen
 				// while placement fails, but stay safe).
 				q.bufEnter(u, cycle)
 				return
 			}
-			row := q.lines[oldRow]
-			oldIdx := 0
-			for row[oldIdx].Seq != oldSeq {
-				oldIdx++
-			}
+			oldRow := int(root.row)
+			oldIdx := int(q.minIdx[oldRow])
+			row, keys := q.lines[oldRow], q.keys[oldRow]
 			oldest := row[oldIdx]
-			row = append(row[:oldIdx], row[oldIdx+1:]...)
-			q.lines[oldRow] = append(row, u)
+			copy(row[oldIdx:], row[oldIdx+1:])
+			copy(keys[oldIdx:], keys[oldIdx+1:])
+			row[len(row)-1], keys[len(keys)-1] = u, u.Seq
 			q.refresh(oldRow)
 			q.bufEnter(oldest, cycle)
 		} else {
@@ -461,29 +535,25 @@ func (q *PreschedIQ) Issue(cycle int64, max int, tryIssue func(*uop.UOp) bool) [
 		q.advance(cycle)
 	}
 	out := q.outScratch[:0]
+	if !bitvec.Any(q.readyW) {
+		// Only entries whose ready bit is set reach tryIssue: none will.
+		return out
+	}
 	kept := q.buf[:0]
-	keptAt := q.bufAt[:0]
-	keptH := q.bufH[:0]
-	for i, u := range q.buf {
-		if len(out) < max && q.bufAt[i] < cycle && bitvec.Test(q.readyW, int(q.bufH[i])) && tryIssue(u) {
+	for _, e := range q.buf {
+		if u := e.u; len(out) < max && e.at < cycle && bitvec.Test(q.readyW, int(e.h)) && tryIssue(u) {
 			u.IssueCycle = cycle
 			out = append(out, u)
-			q.bufLeave(q.bufH[i])
+			q.bufLeave(e.h)
 			if u.Inst.HasDest() && !u.IsLoad() {
 				q.unresolved = append(q.unresolved, u)
 			}
 			continue
 		}
-		kept = append(kept, u)
-		keptAt = append(keptAt, q.bufAt[i])
-		keptH = append(keptH, q.bufH[i])
+		kept = append(kept, e)
 	}
-	for i := len(kept); i < len(q.buf); i++ {
-		q.buf[i] = nil
-	}
+	clear(q.buf[len(kept):])
 	q.buf = kept
-	q.bufAt = keptAt
-	q.bufH = keptH
 	q.total -= len(out)
 	q.outScratch = out
 	q.stIssued.Add(uint64(len(out)))

@@ -93,8 +93,8 @@ func TestDependentPlacedInLaterRow(t *testing.T) {
 	reachedBuf := int64(-1)
 	for cycle := int64(1); cycle <= 10; cycle++ {
 		q.BeginCycle(cycle)
-		for _, u := range q.buf {
-			if u == con && reachedBuf < 0 {
+		for _, e := range q.buf {
+			if e.u == con && reachedBuf < 0 {
 				reachedBuf = cycle
 			}
 		}
@@ -133,8 +133,8 @@ func TestMispredictedLoadCampsInBuffer(t *testing.T) {
 			ld.Complete = 25
 			q.NotifyLoadMiss(cycle, ld) // no-op by design
 		}
-		for _, u := range q.buf {
-			if u == con && !u.Ready(cycle) {
+		for _, e := range q.buf {
+			if u := e.u; u == con && !u.Ready(cycle) {
 				inBufUnready++
 			}
 		}
