@@ -56,6 +56,12 @@ type Checkpoint struct {
 // SMT run's fetch rotation, so forking the checkpoint is equivalent to
 // warming a cold machine over the same specs.
 func NewCheckpoint(cfg Config, specs ...ContextSpec) (*Checkpoint, error) {
+	return newCheckpoint(cfg, specs, nil)
+}
+
+// newCheckpoint is NewCheckpoint; view, if non-nil, wraps each cursor for
+// the warm-up's reads only (tests hide the cursors' windows with it).
+func newCheckpoint(cfg Config, specs []ContextSpec, view func(trace.Stream) trace.Stream) (*Checkpoint, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("sim: checkpoint needs at least one context")
 	}
@@ -81,7 +87,14 @@ func NewCheckpoint(cfg Config, specs ...ContextSpec) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.warmContexts(curs, budgets)
+	warm := curs
+	if view != nil {
+		warm = make([]trace.Stream, len(curs))
+		for i, c := range curs {
+			warm[i] = view(c)
+		}
+	}
+	e.warmContexts(warm, budgets)
 	frontiers := make([]int64, len(specs))
 	for i, src := range srcs {
 		frontiers[i] = curs[i].(*trace.ForkCursor).Pos()

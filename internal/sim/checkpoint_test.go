@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // forkTestConfigs covers all five queue designs.
@@ -136,5 +139,61 @@ func TestEngineCloneRunsIdentically(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("clone diverged\noriginal: %+v\nclone:    %+v", a.Stats, b.Stats)
+	}
+}
+
+// nextOnly hides a stream's windows, so the warm-up reads it with Next.
+type nextOnly struct{ trace.Stream }
+
+// TestWarmWindowsMatchNext: warming through the cursors' windows leaves
+// exactly the state that warming one Next at a time does — the same
+// forked runs and, after those runs have read past the frontier, the same
+// saved bytes — for one, two and four contexts with unequal budgets.
+func TestWarmWindowsMatchNext(t *testing.T) {
+	sets := map[string][]string{
+		"n1": {"swim"},
+		"n2": {"swim", "twolf"},
+		"n4": {"mgrid", "gcc", "swim", "twolf"},
+	}
+	for name, wls := range sets {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			cfg := DefaultConfig(QueueIdeal, 128)
+			specs := make([]ContextSpec, len(wls))
+			for i, wl := range wls {
+				specs[i] = ContextSpec{Workload: wl, Seed: uint64(1 + i), Warm: 9000 + 3000*int64(i)}
+			}
+			var saved [2][]byte
+			var results [2]*Result
+			for k, view := range []func(trace.Stream) trace.Stream{
+				nil,
+				func(s trace.Stream) trace.Stream { return nextOnly{s} },
+			} {
+				ck, err := newCheckpoint(cfg, specs, view)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := ck.Fork(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if results[k], err = p.Run(5000); err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := ck.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				saved[k] = buf.Bytes()
+			}
+			if !reflect.DeepEqual(results[0], results[1]) {
+				t.Fatalf("window-warmed fork differs from Next-warmed fork\nwindows: %+v\nnext:    %+v",
+					results[0].Stats, results[1].Stats)
+			}
+			if !bytes.Equal(saved[0], saved[1]) {
+				t.Fatalf("window-warmed checkpoint saves %d bytes that differ from the Next-warmed %d",
+					len(saved[0]), len(saved[1]))
+			}
+		})
 	}
 }

@@ -423,41 +423,76 @@ func (e *Engine) Warm(streams []trace.Stream, n int64) {
 // warmContexts is Warm with a per-context instruction budget. Contexts
 // take turns in id order, one instruction each; a context whose budget is
 // spent (or whose trace drains) drops out of the rotation and the rest
-// continue.
+// continue. A stream that offers windows (trace.Windowed) is read a
+// window at a time and advanced once per window, and once more on the
+// partial window when its budget runs out, so its position is exact at
+// the frontier; any other stream is read with Next.
 func (e *Engine) warmContexts(streams []trace.Stream, budgets []int64) {
-	n := len(streams)
-	if len(e.ctxs) < n {
-		n = len(e.ctxs)
-	}
-	rem := make([]int64, n)
+	n := min(len(streams), len(e.ctxs))
+	rd := make([]warmReader, n)
 	active := 0
-	for i := 0; i < n; i++ {
-		rem[i] = budgets[i]
-		if rem[i] > 0 {
+	for i := range rd {
+		rd[i].s, rd[i].rem = streams[i], budgets[i]
+		rd[i].w, _ = streams[i].(trace.Windowed)
+		if rd[i].rem > 0 {
 			active++
 		}
 	}
 	for active > 0 {
-		for i := 0; i < n; i++ {
-			if rem[i] <= 0 {
+		for i := range rd {
+			r := &rd[i]
+			if r.rem <= 0 {
 				continue
 			}
-			in, ok := streams[i].Next()
-			if !ok {
-				rem[i] = 0
+			if r.used == len(r.win) && !r.refill() {
+				r.rem = 0
 				active--
 				continue
 			}
+			in := &r.win[r.used]
+			r.used++
 			e.hier.WarmInst(in.PC)
 			if in.Class.IsMem() {
 				e.hier.WarmData(in.Addr, in.Class == isa.Store)
 			}
-			e.ctxs[i].fe.Train(in)
-			if rem[i]--; rem[i] == 0 {
+			e.ctxs[i].fe.Train(*in)
+			if r.rem--; r.rem == 0 {
 				active--
 			}
 		}
 	}
+	for i := range rd {
+		if rd[i].w != nil {
+			rd[i].w.Advance(rd[i].used)
+		}
+	}
+}
+
+// warmReader is one context's read position during warmContexts.
+type warmReader struct {
+	s   trace.Stream
+	w   trace.Windowed // s's windows, or nil when it has none
+	rem int64          // warm budget left
+
+	win  []isa.Inst  // current window
+	used int         // instructions of win already warmed
+	one  [1]isa.Inst // the window of a stream read with Next
+}
+
+// refill opens the next window once the current one is used up: it
+// advances past the old window and asks for a new one, or reads one
+// instruction with Next into a one-instruction window. It reports false
+// when the stream has ended.
+func (r *warmReader) refill() bool {
+	if r.w == nil {
+		in, ok := r.s.Next()
+		r.one[0] = in
+		r.win, r.used = r.one[:], 0
+		return ok
+	}
+	r.w.Advance(r.used)
+	r.win, r.used = r.w.Window(), 0
+	return len(r.win) > 0
 }
 
 // runHooked simulates until the total committed instructions reach the

@@ -43,9 +43,19 @@ func newChunk() *[forkChunk]isa.Inst {
 // ForkSource memoises an underlying stream so that any number of cursors
 // can replay it, each at its own position, from concurrent goroutines.
 // The underlying stream is only ever pulled by the leading cursor, under
-// a mutex; trailing cursors read the memo lock-free. Publication is via
-// an atomic instruction count: a cursor may read memo slot i only after
-// observing count > i, which orders the read after the slot's write.
+// a mutex, a whole chunk at a time: a cursor that reaches the leading
+// edge fills the memo to the end of the chunk it stands in and publishes
+// the new count once. Trailing cursors read the memo lock-free.
+// Publication is via an atomic instruction count: a cursor may read memo
+// slot i only after observing count > i, which orders the read after the
+// slot's write.
+//
+// count therefore runs up to a chunk ahead of what any cursor has read.
+// What has been read is the consumed frontier: the furthest position of
+// any live cursor, of any released one, and of a resumed source's carried
+// memo. A checkpoint saves the memo only up to that frontier
+// (MemoSuffix), so the saved bytes do not depend on how far ahead the
+// fill ran.
 //
 // The source keeps a registry of its live cursors. Once TrimBefore has
 // been called (declaring that no cursor will ever start below the trim
@@ -67,6 +77,10 @@ type ForkSource struct {
 	liveTrim bool
 	// lowChunk is the first chunk index still memoised (all below are nil).
 	lowChunk int
+	// done is the furthest position a released cursor reached, or the
+	// length of a resumed source's carried memo; with the live cursors'
+	// positions it makes the consumed frontier.
+	done int64
 
 	chunks atomic.Pointer[[]*[forkChunk]isa.Inst]
 	count  atomic.Int64 // instructions memoised and published
@@ -92,18 +106,18 @@ func (s *ForkSource) Fork() *ForkCursor {
 	return c
 }
 
-// extend memoises instructions from base until target is covered (or the
-// base is exhausted).
+// extend memoises the base's instructions through the end of the chunk
+// that holds target, or until the base ends, and publishes them with one
+// count store.
 func (s *ForkSource) extend(target int64) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.count.Load() <= target && s.end.Load() < 0 {
-		n := s.count.Load()
-		in, ok := s.base.Next()
-		if !ok {
-			s.end.Store(n)
-			return
-		}
+	n := s.count.Load()
+	if n > target || s.end.Load() >= 0 {
+		s.mu.Unlock()
+		return
+	}
+	ended := false
+	for n <= target && !ended {
 		chunks := *s.chunks.Load()
 		if int(n/forkChunk) == len(chunks) {
 			// A new chunk is about to be pinned: drop the ones every live
@@ -117,9 +131,16 @@ func (s *ForkSource) extend(target int64) {
 			s.chunks.Store(&nc)
 			chunks = nc
 		}
-		chunks[n/forkChunk][n%forkChunk] = in
-		s.count.Add(1)
+		dst := chunks[n/forkChunk][n%forkChunk:]
+		got := pull(s.base, dst)
+		n += int64(got)
+		ended = got < len(dst)
 	}
+	s.count.Store(n)
+	if ended {
+		s.end.Store(n)
+	}
+	s.mu.Unlock()
 }
 
 // autoTrimLocked trims behind the minimum live cursor. Callers hold s.mu.
@@ -207,6 +228,7 @@ func (c *ForkCursor) Fork() Stream {
 func (c *ForkCursor) Release() {
 	s := c.src
 	s.mu.Lock()
+	s.done = max(s.done, c.pos.Load())
 	for i, cc := range s.curs {
 		if cc == c {
 			s.curs[i] = s.curs[len(s.curs)-1]
@@ -234,3 +256,26 @@ func (c *ForkCursor) Next() (isa.Inst, bool) {
 		c.src.extend(p)
 	}
 }
+
+// Window implements Windowed: the memo from the cursor's position to the
+// end of its chunk or to the published count, whichever comes first. At
+// the leading edge it fills the memo first. The cursor's published
+// position stays at the window's start until Advance, so live trimming
+// cannot free the chunk under it.
+func (c *ForkCursor) Window() []isa.Inst {
+	for {
+		p := c.pos.Load()
+		if n := c.src.count.Load(); p < n {
+			chunks := *c.src.chunks.Load()
+			lo := p % forkChunk
+			return chunks[p/forkChunk][lo:min(forkChunk, lo+n-p)]
+		}
+		if end := c.src.end.Load(); end >= 0 && p >= end {
+			return nil
+		}
+		c.src.extend(p)
+	}
+}
+
+// Advance implements Windowed.
+func (c *ForkCursor) Advance(n int) { c.pos.Store(c.pos.Load() + int64(n)) }

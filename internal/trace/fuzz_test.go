@@ -84,3 +84,95 @@ func FuzzResumeForkSource(f *testing.F) {
 		}
 	})
 }
+
+// FuzzForkCursorOps drives one fork source over a finite base with a
+// random sequence of Fork, Next, Window+Advance, Release, TrimBefore and
+// MemoSuffix calls over several cursors, and checks each against a flat
+// reference slice: no panic, every cursor reads the reference from its
+// own position, and every suffix runs exactly to the consumed frontier —
+// the furthest position any cursor, live or released, has reached.
+// Each op is three bytes: the call, a cursor, an amount.
+func FuzzForkCursorOps(f *testing.F) {
+	f.Add(uint8(0), uint16(0), []byte{1, 0, 255, 2, 0, 255, 0, 0, 0, 5, 0, 0, 4, 0, 255, 2, 1, 128, 5, 0, 0, 3, 1, 0, 5, 0, 0})
+	f.Add(uint8(3), uint16(9000), []byte{2, 0, 255, 2, 0, 255, 2, 0, 255, 2, 0, 255, 2, 0, 255, 0, 0, 0, 5, 0, 0, 3, 0, 0, 2, 0, 255, 5, 0, 0})
+	f.Add(uint8(5), uint16(100), []byte{4, 0, 0, 0, 0, 0, 1, 1, 200, 2, 0, 17, 3, 0, 0, 5, 0, 0, 2, 0, 255, 2, 0, 255, 5, 0, 0})
+	names := Names()
+	f.Fuzz(func(t *testing.T, wl uint8, extra uint16, ops []byte) {
+		if len(ops) > 3*256 {
+			ops = ops[:3*256]
+		}
+		name := names[int(wl)%len(names)]
+		n := 3*forkChunk + int(extra)%(2*forkChunk)
+		base, err := New(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := Take(base, n)
+		base, _ = New(name, 1)
+		src := NewForkSource(Limit(base, int64(n)))
+		curs := []*ForkCursor{src.Fork()}
+		armed := false
+		var frontier int64
+		for i := 0; i+2 < len(ops); i += 3 {
+			op, amt := ops[i]%6, int(ops[i+2])
+			var c *ForkCursor
+			if len(curs) > 0 {
+				c = curs[int(ops[i+1])%len(curs)]
+			}
+			switch {
+			case op == 0 && c == nil && !armed:
+				curs = append(curs, src.Fork())
+			case op == 0 && c != nil && len(curs) < 8:
+				curs = append(curs, c.Fork().(*ForkCursor))
+			case op == 1 && c != nil:
+				for j := 0; j < 16*amt+1; j++ {
+					p := c.Pos()
+					in, ok := c.Next()
+					if ok != (p < int64(n)) || ok && in != ref[p] {
+						t.Fatalf("Next at %d: ok=%v, differs from reference", p, ok)
+					}
+				}
+			case op == 2 && c != nil:
+				p, win := c.Pos(), c.Window()
+				if len(win) == 0 != (p >= int64(n)) {
+					t.Fatalf("empty window at %d of %d", p, n)
+				}
+				for j := range win {
+					if win[j] != ref[p+int64(j)] {
+						t.Fatalf("window at %d differs from reference at %d", p, p+int64(j))
+					}
+				}
+				c.Advance(len(win) * amt / 255)
+			case op == 3 && c != nil:
+				c.Release()
+				for j, cc := range curs {
+					if cc == c {
+						curs = append(curs[:j], curs[j+1:]...)
+						break
+					}
+				}
+			case op == 4 && c != nil:
+				low := c.Pos()
+				for _, cc := range curs {
+					low = min(low, cc.Pos())
+				}
+				src.TrimBefore(low * int64(amt) / 255)
+				armed = true
+			case op == 5 && c != nil:
+				from := c.Pos()
+				got := src.MemoSuffix(from)
+				if want := max(frontier-from, 0); int64(len(got)) != want {
+					t.Fatalf("suffix from %d holds %d, consumed frontier is %d", from, len(got), frontier)
+				}
+				for j := range got {
+					if got[j] != ref[from+int64(j)] {
+						t.Fatalf("suffix differs from reference at %d", from+int64(j))
+					}
+				}
+			}
+			for _, cc := range curs {
+				frontier = max(frontier, cc.Pos())
+			}
+		}
+	})
+}

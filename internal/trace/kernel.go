@@ -188,6 +188,19 @@ func (g *kernelGen) Next() (isa.Inst, bool) {
 	return g.buf[g.pos-1], true
 }
 
+// Window implements Windowed over the fill buffer: the rest of the
+// current outer-loop iteration. Kernel streams never exhaust, so the
+// window is never empty.
+func (g *kernelGen) Window() []isa.Inst {
+	if g.pos >= len(g.buf) {
+		g.fill()
+	}
+	return g.buf[g.pos:]
+}
+
+// Advance implements Windowed.
+func (g *kernelGen) Advance(n int) { g.pos += n }
+
 // fill runs the template from the first block until control transfers back
 // to it (one outer-loop iteration), buffering the emitted instructions.
 func (g *kernelGen) fill() {

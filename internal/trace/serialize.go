@@ -11,8 +11,8 @@ import (
 // generators hold closure state and cannot be snapshotted directly, so a
 // checkpoint records the stream *position* instead: the workload name and
 // seed rebuild the generator, and the consumer skips forward to the warm
-// frontier. The memo suffix a checkpoint template has already pulled past
-// its own cursor (forked runs that outpaced the template) is carried
+// frontier. The memo suffix that cursors have already consumed past the
+// template's own cursor (forked runs that outpaced the template) is carried
 // verbatim so a resumed source replays bit-identical instructions without
 // re-pulling them from the rebuilt base.
 
@@ -55,14 +55,21 @@ func DecodeInst(r *codec.Reader) (isa.Inst, error) {
 func (c *ForkCursor) Source() *ForkSource { return c.src }
 
 // MemoSuffix returns a copy of the memoised instructions at positions
-// [from, count): the suffix of the memo from the given position to the
-// leading edge. The caller must know that no chunk at or above from has
-// been trimmed; a checkpoint template calls this with its own cursor
-// position, which live trimming never passes.
+// [from, frontier), where frontier is the consumed frontier: the furthest
+// position any live or released cursor has read to, or the end of a
+// resumed source's carried memo. The memo may run further (it fills a
+// chunk at a time), but only what some cursor consumed is part of the
+// saved state, so the suffix is the same however far ahead the fill ran.
+// The caller must know that no chunk at or above from has been trimmed; a
+// checkpoint template calls this with its own cursor position, which live
+// trimming never passes.
 func (s *ForkSource) MemoSuffix(from int64) []isa.Inst {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.count.Load()
+	n := s.done
+	for _, c := range s.curs {
+		n = max(n, c.pos.Load())
+	}
 	if from >= n {
 		return nil
 	}
@@ -72,9 +79,9 @@ func (s *ForkSource) MemoSuffix(from int64) []isa.Inst {
 	}
 	chunks := *s.chunks.Load()
 	out := make([]isa.Inst, n-from)
-	for i := range out {
+	for i := 0; i < len(out); {
 		p := from + int64(i)
-		out[i] = chunks[p/forkChunk][p%forkChunk]
+		i += copy(out[i:], chunks[p/forkChunk][p%forkChunk:])
 	}
 	return out
 }
@@ -86,39 +93,36 @@ func (s *ForkSource) MemoSuffix(from int64) []isa.Inst {
 // state NewForkSource + warmup left behind when the checkpoint was saved.
 // It fails if base exhausts before the frontier is reached.
 func ResumeForkSource(base Stream, skip int64, memo []isa.Inst) (*ForkSource, error) {
-	for i := int64(0); i < skip; i++ {
-		if _, ok := base.Next(); !ok {
-			return nil, fmt.Errorf("trace: %s exhausted at %d/%d while seeking warm frontier",
-				base.Name(), i, skip)
-		}
+	if got := discard(base, skip); got < skip {
+		return nil, fmt.Errorf("trace: %s exhausted at %d/%d while seeking warm frontier",
+			base.Name(), got, skip)
 	}
 	s := NewForkSource(base)
 	if len(memo) == 0 {
 		return s, nil
 	}
 	// The carried suffix was already pulled from the original base beyond
-	// the frontier; consume the same span from the rebuilt base so it stays
-	// aligned, then publish the suffix as the memo prefix.
-	for i := range memo {
-		in, ok := base.Next()
-		if !ok {
-			return nil, fmt.Errorf("trace: %s exhausted %d instructions into carried memo suffix",
-				base.Name(), i)
-		}
-		if in != memo[i] {
-			return nil, fmt.Errorf("trace: %s diverges from carried memo at frontier offset %d",
-				base.Name(), i)
-		}
-	}
-	nchunks := (len(memo) + forkChunk - 1) / forkChunk
-	chunks := make([]*[forkChunk]isa.Inst, nchunks)
+	// the frontier; pull the same span from the rebuilt base into the memo
+	// so it stays aligned, check it against the suffix, and publish it as
+	// the memo prefix.
+	chunks := make([]*[forkChunk]isa.Inst, (len(memo)+forkChunk-1)/forkChunk)
 	for i := range chunks {
-		chunks[i] = new([forkChunk]isa.Inst)
-	}
-	for i, in := range memo {
-		chunks[i/forkChunk][i%forkChunk] = in
+		chunks[i] = newChunk()
+		want := memo[i*forkChunk : min(len(memo), (i+1)*forkChunk)]
+		got := chunks[i][:pull(base, chunks[i][:len(want)])]
+		for j := range got {
+			if got[j] != want[j] {
+				return nil, fmt.Errorf("trace: %s diverges from carried memo at frontier offset %d",
+					base.Name(), i*forkChunk+j)
+			}
+		}
+		if len(got) < len(want) {
+			return nil, fmt.Errorf("trace: %s exhausted %d instructions into carried memo suffix",
+				base.Name(), i*forkChunk+len(got))
+		}
 	}
 	s.chunks.Store(&chunks)
 	s.count.Store(int64(len(memo)))
+	s.done = int64(len(memo))
 	return s, nil
 }

@@ -36,6 +36,74 @@ type Stream interface {
 	Next() (in isa.Inst, ok bool)
 }
 
+// Windowed is a stream that can also hand out its next instructions as a
+// slice, so a reader that consumes many of them pays the stream's
+// per-call cost (a lock, atomics, a generator step) once per window
+// instead of once per instruction.
+//
+// Window returns instructions from the stream's position onwards that
+// are ready to read; an empty window means the stream has ended. The
+// slice is read-only and stays valid only until the next call on the
+// stream. Advance(n) consumes the first n instructions of the current
+// window, 0 <= n <= len(Window()). Window and Advance mix freely with
+// Next: all three read the same sequence.
+type Windowed interface {
+	Stream
+	Window() []isa.Inst
+	Advance(n int)
+}
+
+// pull copies instructions from s into dst, through its windows when s
+// has them, and returns how many it copied. Fewer than len(dst) means s
+// ended.
+func pull(s Stream, dst []isa.Inst) int {
+	if w, ok := s.(Windowed); ok {
+		n := 0
+		for n < len(dst) {
+			win := w.Window()
+			if len(win) == 0 {
+				break
+			}
+			k := copy(dst[n:], win)
+			w.Advance(k)
+			n += k
+		}
+		return n
+	}
+	for i := range dst {
+		in, ok := s.Next()
+		if !ok {
+			return i
+		}
+		dst[i] = in
+	}
+	return len(dst)
+}
+
+// discard drops up to n instructions from s, through its windows when it
+// has them, and returns how many it dropped. Fewer than n means s ended.
+func discard(s Stream, n int64) int64 {
+	if w, ok := s.(Windowed); ok {
+		var i int64
+		for i < n {
+			win := w.Window()
+			if len(win) == 0 {
+				break
+			}
+			k := int(min(int64(len(win)), n-i))
+			w.Advance(k)
+			i += int64(k)
+		}
+		return i
+	}
+	for i := int64(0); i < n; i++ {
+		if _, ok := s.Next(); !ok {
+			return i
+		}
+	}
+	return n
+}
+
 // Constructor builds a fresh Stream for a named workload; seed selects
 // the deterministic random sequence used for data-dependent behaviour.
 type Constructor func(seed uint64) Stream
