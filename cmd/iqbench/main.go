@@ -53,22 +53,17 @@ import (
 
 func main() {
 	var (
-		exp            = flag.String("experiment", "all", strings.Join(experiments.Experiments, ", ")+", or all")
-		n              = flag.Int64("n", 0, "measured instructions per run (0 = default)")
-		warm           = flag.Int64("warm", 0, "warm-up instructions per run (0 = default)")
-		seed           = flag.Uint64("seed", 1, "workload seed")
-		benches        = flag.String("benchmarks", "", "comma-separated benchmark subset (default all)")
-		par            = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		ckptDir        = flag.String("ckpt-dir", "", "directory backing the warm-checkpoint cache: warmups found there are loaded instead of re-simulated, new ones are saved for later runs")
-		noPrefix       = flag.Bool("no-prefix-share", false, "fork every sweep point from its warm checkpoint instead of sharing the detailed prefix of each sweep family's most permissive member; results are bit-identical either way (this flag exists for cross-checking and for before/after perf comparisons)")
-		prescreen      = flag.Bool("prescreen", false, "run a pre-screened mega-grid sweep: score every grid point with the analytic IPC model, simulate only the predicted IPC-per-entry Pareto frontier plus a seeded audit sample, and report the estimator's audit error; -out writes the simulated points as a shard JSON")
-		prescreenGrid  = flag.String("prescreen-grid", "mega", "mega-grid preset for -prescreen: mega (~13k points per workload) or ci (~340)")
-		prescreenAudit = flag.Int("prescreen-audit", 24, "seeded-random grid points simulated per workload regardless of the frontier prediction, to measure estimator error")
-		prescreenSlack = flag.Float64("prescreen-slack", 0.05, "frontier safety margin: points predicted within this fraction of their entries-group's best are simulated too")
-		prescreenCheck = flag.Float64("prescreen-check", 0, "exit non-zero when the pooled audit rank correlation falls below this threshold (0 = report only); the screening contract is 0.8")
-		shard          = flag.String("shard", "", "run only shard i/n of the experiment grid (format i/n) and write a shard JSON; requires a single -experiment")
-		out            = flag.String("out", "", "output path for -shard / -merge JSON (default stdout)")
-		mergeList      = flag.String("merge", "", "comma-separated shard JSON files: merge them, verify completeness, write the combined JSON and render the experiment")
+		exp       = flag.String("experiment", "all", strings.Join(experiments.Experiments, ", ")+", or all")
+		n         = flag.Int64("n", 0, "measured instructions per run (0 = default)")
+		warm      = flag.Int64("warm", 0, "warm-up instructions per run (0 = default)")
+		seed      = flag.Uint64("seed", 1, "workload seed")
+		benches   = flag.String("benchmarks", "", "comma-separated benchmark subset (default all)")
+		par       = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+		ckptDir   = flag.String("ckpt-dir", "", "directory backing the warm-checkpoint cache: warmups found there are loaded instead of re-simulated, new ones are saved for later runs")
+		noPrefix  = flag.Bool("no-prefix-share", false, "fork every sweep point from its warm checkpoint instead of sharing the detailed prefix of each sweep family's most permissive member; results are bit-identical either way (this flag exists for cross-checking and for before/after perf comparisons)")
+		shard     = flag.String("shard", "", "run only shard i/n of the experiment grid (format i/n) and write a shard JSON; requires a single -experiment")
+		out       = flag.String("out", "", "output path for -shard / -merge JSON (default stdout)")
+		mergeList = flag.String("merge", "", "comma-separated shard JSON files: merge them, verify completeness, write the combined JSON and render the experiment")
 	)
 	flag.Parse()
 
@@ -101,32 +96,6 @@ func main() {
 	if *mergeList != "" {
 		if err := mergeShardFiles(strings.Split(*mergeList, ","), *out); err != nil {
 			fmt.Fprintf(os.Stderr, "iqbench: merge: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *prescreen {
-		start := time.Now()
-		po := experiments.PrescreenOptions{Grid: *prescreenGrid, Audit: *prescreenAudit, Slack: *prescreenSlack}
-		r, sf, err := experiments.Prescreen(o, po)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "iqbench: prescreen: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("Pre-screened sweep (%s grid): simulate the predicted frontier, audit the estimator\n", r.Grid)
-		fmt.Print(r.Table().String())
-		if *out != "" {
-			if err := writeShardJSON(sf, *out); err != nil {
-				fmt.Fprintf(os.Stderr, "iqbench: prescreen: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		fmt.Printf("[%s]\n", r.Summary())
-		fmt.Printf("[prescreen completed in %.1fs]\n", time.Since(start).Seconds())
-		printCkptStats(os.Stdout, o)
-		if *prescreenCheck > 0 && r.Spearman < *prescreenCheck {
-			fmt.Fprintf(os.Stderr, "iqbench: prescreen audit rank correlation %.3f below required %.3f\n",
-				r.Spearman, *prescreenCheck)
 			os.Exit(1)
 		}
 		return

@@ -41,7 +41,7 @@ func TestCheckCkptDir(t *testing.T) {
 		ok    bool
 	}{
 		{"", false, true},
-		{".ckpt", false, true}, // direct run, -shard, -prescreen
+		{".ckpt", false, true}, // direct run, -shard
 		{"", true, true},
 		{".ckpt", true, false},
 	}

@@ -69,13 +69,22 @@ func TestRunAllValidatesBenchmarks(t *testing.T) {
 
 // TestRunAllForkMatchesColdPath: the checkpoint-fork scheduler must
 // reproduce the cold warm-every-run path bit for bit — same cycles, same
-// stats — including when several grid points share one checkpoint.
+// stats — including when several grid points share one checkpoint, when
+// one workload needs checkpoints for two predictor geometries, and when
+// a machine of a different width runs as a one-member family.
 func TestRunAllForkMatchesColdPath(t *testing.T) {
 	o := Options{Instructions: 3000, Warmup: 20_000, Seed: 1, Parallel: 4}
+	smallBP := sim.DefaultConfig(sim.QueueIdeal, 128)
+	bp := &smallBP.BranchPredictor
+	bp.GlobalHistBits, bp.LocalHistBits, bp.LocalEntries, bp.ChoiceHistBits = 8, 8, 256, 8
+	narrow := sim.DefaultConfig(sim.QueueIdeal, 128)
+	narrow.FetchWidth, narrow.DispatchWidth, narrow.IssueWidth, narrow.CommitWidth = 4, 4, 4, 4
 	jobs := []job{
 		{key: "swim/ideal", cfg: sim.DefaultConfig(sim.QueueIdeal, 128), wl: "swim"},
 		{key: "swim/seg", cfg: sim.SegmentedConfig(128, 64, true, true), wl: "swim"},
 		{key: "swim/seg32", cfg: sim.SegmentedConfig(32, 64, true, true), wl: "swim"},
+		{key: "swim/ideal-bpS", cfg: smallBP, wl: "swim"},
+		{key: "swim/ideal-w4", cfg: narrow, wl: "swim"},
 		{key: "gcc/ideal", cfg: sim.DefaultConfig(sim.QueueIdeal, 128), wl: "gcc"},
 	}
 	res, err := o.runAll(jobs)

@@ -82,12 +82,7 @@ type ShardFile struct {
 // bit-identical shard sets differ. Shard runs report sharing on the
 // process's summary line instead (iqbench's [prefix: ...]), and the CI
 // prefix-share job relies on shard files staying byte-identical with
-// and without -no-prefix-share. Pre-screening counters (points
-// screened, frontier size, audit error) stay out for the same reason:
-// a pre-screened sweep's shard file records only the simulated points,
-// exactly as a cold sweep of the same selection would, and the
-// screening outcome goes to the summary line (iqbench's
-// [prescreen: ...]).
+// and without -no-prefix-share.
 
 // RunShard simulates shard `shard` of `numShards` of the named
 // experiment's grid under o. Shard 0 of 1 is exactly the full grid.
@@ -103,32 +98,6 @@ func RunShard(o Options, experiment string, shard, numShards int) (*ShardFile, e
 	for i := shard; i < len(grid); i += numShards {
 		mine = append(mine, grid[i])
 	}
-	return o.simulate(experiment, grid, mine, shard, numShards)
-}
-
-// newShardFile returns the header of shard `shard` of `numShards` of an
-// experiment's grid under o, with no results yet. It is the one place a
-// shard-file header is built: shards, GridPlan skeletons and
-// pre-screened sweeps all start here.
-func newShardFile(o Options, experiment string, grid []job, shard, numShards int) *ShardFile {
-	return &ShardFile{
-		Schema:       ShardSchema,
-		Experiment:   experiment,
-		Shard:        shard,
-		NumShards:    numShards,
-		TotalJobs:    len(grid),
-		Instructions: o.Instructions,
-		Warmup:       o.Warmup,
-		Seed:         o.Seed,
-		Contexts:     gridContexts(grid),
-		Benchmarks:   o.Benchmarks,
-		Results:      make(map[string]*RecordedResult),
-	}
-}
-
-// simulate runs the jobs mine, a subset of grid, and records their
-// results as shard `shard` of `numShards` of the grid.
-func (o Options) simulate(experiment string, grid, mine []job, shard, numShards int) (*ShardFile, error) {
 	res, err := o.runAll(mine)
 	if err != nil {
 		return nil, err
@@ -148,6 +117,26 @@ func (o Options) simulate(experiment string, grid, mine []job, shard, numShards 
 		sf.CkptStats = o.CkptStats.Values()
 	}
 	return sf, nil
+}
+
+// newShardFile returns the header of shard `shard` of `numShards` of an
+// experiment's grid under o, with no results yet. It is the one place a
+// shard-file header is built: shards and GridPlan skeletons both start
+// here.
+func newShardFile(o Options, experiment string, grid []job, shard, numShards int) *ShardFile {
+	return &ShardFile{
+		Schema:       ShardSchema,
+		Experiment:   experiment,
+		Shard:        shard,
+		NumShards:    numShards,
+		TotalJobs:    len(grid),
+		Instructions: o.Instructions,
+		Warmup:       o.Warmup,
+		Seed:         o.Seed,
+		Contexts:     gridContexts(grid),
+		Benchmarks:   o.Benchmarks,
+		Results:      make(map[string]*RecordedResult),
+	}
 }
 
 // header returns the fields every shard of one sweep must agree on.

@@ -11,9 +11,9 @@ import (
 // Dependence-chain profiling granularity. Depths are computed within
 // fixed windows of the dynamic stream — a proxy for what an instruction
 // window of that size could see — with cross-window producers treated as
-// ready. The sub-window gives a second, smaller measurement point so
-// downstream models can extrapolate critical-path growth with window
-// size instead of assuming it linear from one sample.
+// ready. The sub-window gives a second, smaller measurement point, so
+// critical-path growth with window size is measured rather than assumed
+// linear from one sample.
 const (
 	// ChainWindow is the instruction-window size dependence depths are
 	// computed over.
@@ -28,8 +28,7 @@ const (
 )
 
 // Profile summarises the dynamic properties of a stream prefix; it backs
-// cmd/tracedump, the workload-shape tests, and the analytic IPC model
-// (internal/model).
+// cmd/tracedump and the workload-shape tests.
 type Profile struct {
 	Name         string
 	Instructions int
@@ -68,8 +67,7 @@ type Profile struct {
 	MeanChainWidth float64
 	// CritPathSub / CritPathWin are the mean critical-path lengths (in
 	// nodes) of ChainSubWindow- and ChainWindow-instruction windows. Two
-	// window sizes pin the growth rate: models extrapolate depth(W)
-	// linearly through these two points.
+	// window sizes pin the growth rate of depth with window size.
 	CritPathSub float64
 	CritPathWin float64
 	// CritClassFrac is the class mix of the instructions on window
@@ -90,11 +88,6 @@ type Profile struct {
 	BranchEntropy   float64
 	BranchBiasMiss  float64
 	BranchLocalMiss float64
-
-	// BranchSites counts distinct static branches (unique branch PCs) in
-	// the profiled window — the branch working set a predictor's
-	// PC-indexed tables must hold before aliasing sets in.
-	BranchSites int
 
 	// NewLinesPerLoad is the fraction of loads touching a 64-byte line
 	// never seen before in the profile — a streaming/compulsory-miss
@@ -381,7 +374,6 @@ func Characterize(s Stream, n int) Profile {
 			p.CritClassFrac[c] = float64(critClassCnt[c]) / float64(critClassTot)
 		}
 	}
-	p.BranchSites = len(branchCounts)
 	if p.Branches > 0 {
 		var entSum float64
 		biasMiss := 0

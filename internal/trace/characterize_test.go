@@ -83,9 +83,9 @@ func TestChainProfileWindowBoundary(t *testing.T) {
 	}
 }
 
-// TestWorkloadChainShapes pins the new profile dimensions on the bundled
-// workloads: the dependence and predictability contrasts the analytic
-// model relies on (DESIGN.md §2's substitution contract, extended).
+// TestWorkloadChainShapes pins the profile dimensions on the bundled
+// workloads: the dependence and predictability contrasts between them
+// (DESIGN.md §2's substitution contract, extended).
 func TestWorkloadChainShapes(t *testing.T) {
 	prof := make(map[string]Profile)
 	for _, name := range Names() {
